@@ -59,20 +59,20 @@ RecoveryMeasurement MeasureRecoveryLatency(bool crash_whole_server) {
 
   // Client with a warm cached reference.
   sim::Process& client = harness.SpawnProcessOn(0, "client");
-  rpc::Rebinder::Options rb;
+  rpc::BindingOptions rb;
   rb.max_attempts = 60;
   rb.initial_backoff = Duration::Millis(250);
   rb.backoff_multiplier = 1.0;
-  rpc::Rebinder rebinder(client.executor(),
-                         harness.ClientFor(client).ResolveFnFor("svc/target"), rb);
+  rpc::BindingTable table(client.runtime(),
+                          harness.ClientFor(client).PathResolverFn());
+  auto target = table.Bind<svc::SettopManagerProxy>("svc/target", rb);
   auto call_once = [&]() -> Duration {
     Time t0 = cluster.Now();
     Time t1 = t0;
     bool done = false;
-    rebinder.Call<std::vector<uint8_t>>(
-        [&](const wire::ObjectRef& ref) {
-          return svc::SettopManagerProxy(client.runtime(), ref)
-              .GetStatus({client.host()});
+    target.Call<std::vector<uint8_t>>(
+        [&](const svc::SettopManagerProxy& proxy) {
+          return proxy.GetStatus({client.host()});
         },
         [&](Result<std::vector<uint8_t>> r) {
           done = r.ok();
@@ -84,7 +84,7 @@ RecoveryMeasurement MeasureRecoveryLatency(bool crash_whole_server) {
     return done ? (t1 - t0) : Duration::Infinite();
   };
   (void)call_once();  // Warm the cache.
-  wire::ObjectRef stale = rebinder.cached_ref().value();
+  wire::ObjectRef stale = table.Find("svc/target")->ref;
 
   if (crash_whole_server) {
     harness.server(1).Crash();

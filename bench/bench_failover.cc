@@ -30,7 +30,6 @@
 #include "src/media/mms.h"
 #include "src/naming/name_client.h"
 #include "src/rpc/binding_table.h"
-#include "src/rpc/shard_router.h"
 #include "src/settop/vod_app.h"
 #include "src/svc/harness.h"
 #include "src/svc/settop_manager.h"
@@ -135,7 +134,7 @@ TrialResult RunTrials(const Params& params, int trials, uint64_t seed) {
     bopts.max_backoff = Duration::Seconds(5);
     bopts.backoff_jitter = 0.25;
     bopts.deadline = Duration::Seconds(limit_s);
-    table->Get("svc/target", bopts).Prime(primary_ref);
+    table->Prime("svc/target", primary_ref);
     bool bound_done = false;
     bool bound_ok = false;
     Time bound_at;
@@ -144,7 +143,7 @@ TrialResult RunTrials(const Params& params, int trials, uint64_t seed) {
       // rebind.resolve activity joins the recorded fail-over timeline.
       trace::Tracer& tracer = client.tracer();
       trace::ScopedContext scoped(&tracer, tracer.StartTrace());
-      table->Bind<svc::SettopManagerProxy>("svc/target")
+      table->Bind<svc::SettopManagerProxy>("svc/target", bopts)
           .Call<void>(
               [host = client.host()](const svc::SettopManagerProxy& mgr) {
                 return mgr.Heartbeat(host);
@@ -182,7 +181,7 @@ TrialResult RunTrials(const Params& params, int trials, uint64_t seed) {
     if (bound_done && bound_ok) {
       out.client_s.Record((bound_at - crash_at).seconds());
     }
-    out.rebinds += table->total_rebinds();
+    out.rebinds += table->Find("svc/target")->rebinds;
 
     // Reconstruct the per-phase decomposition from the cluster trace buffer.
     trace::FailoverTimeline timeline = trace::FailoverTimeline::Reconstruct(
@@ -311,7 +310,7 @@ RecoveryTrialResult RunRecoveryTrials(bool warm, int trials, uint64_t seed) {
 //
 // A 4-server cluster runs the MMS as 4 shards with a lifecycle for every
 // shard on every server, primaries staggered one per host. A client primes
-// one binding per shard through the shard router, then the mmsd process
+// one binding per shard through the binding table, then the mmsd process
 // hosting shard 1's primary is killed. The killed shard must answer again
 // within the paper's 25 s bound (it re-binds to the promoted backup on
 // another host); the other three shards must keep answering with ZERO
@@ -355,15 +354,13 @@ ShardKillResult RunShardKill() {
   naming::NameClient nc = harness.ClientFor(client);
   auto* table =
       client.Emplace<rpc::BindingTable>(client.runtime(), nc.PathResolverFn());
-  auto* router = client.Emplace<rpc::ShardRouter>(*table);
   rpc::BindingOptions bopts;
   bopts.max_attempts = 200;
   bopts.initial_backoff = Duration::Millis(500);
   bopts.backoff_multiplier = 1.5;
   bopts.max_backoff = Duration::Seconds(5);
   bopts.backoff_jitter = 0.25;
-  rpc::ShardedClient<media::MmsProxy> mms(
-      *router, std::string(media::kMmsName), bopts);
+  auto mms = table->BindSharded<media::MmsProxy>(media::kMmsName, bopts);
 
   // One routing key per shard: the smallest integers that hash there.
   wire::ShardMap map{kShards, deploy.shard_salt};
@@ -399,8 +396,7 @@ ShardKillResult RunShardKill() {
   }
   std::vector<uint64_t> baseline(kShards, 0);
   for (uint32_t s = 0; s < kShards; ++s) {
-    baseline[s] = table->Get(wire::ShardPath(media::kMmsName, s, map), bopts)
-                      .rebind_count();
+    baseline[s] = table->Find(wire::ShardPath(media::kMmsName, s, map))->rebinds;
   }
 
   // Kill the mmsd hosting shard 1's primary (one process, one shard primary:
@@ -441,8 +437,7 @@ ShardKillResult RunShardKill() {
 
   for (uint32_t s = 0; s < kShards; ++s) {
     uint64_t delta =
-        table->Get(wire::ShardPath(media::kMmsName, s, map), bopts)
-            .rebind_count() -
+        table->Find(wire::ShardPath(media::kMmsName, s, map))->rebinds -
         baseline[s];
     if (s == 0) {
       out.killed_shard_rebinds = delta;
@@ -461,9 +456,9 @@ ShardKillResult RunShardKill() {
 // streaming through a VodApp when the operator publishes a successor shard
 // map doubling the MMS shard count. Sessions whose settop hashes to a new
 // shard are drained at the source; each affected viewer sees a data gap and
-// reopens through its shard router, which adopts v2 on its next map fetch.
+// reopens through its binding table, which adopts v2 on its next map fetch.
 // Measured: per-viewer disruption (publish -> next delivered chunk), the
-// probe router's adoption latency, and — the invariants that make a live
+// probe table's adoption latency, and — the invariants that make a live
 // reshard safe — zero viewers lost and every session owned by the shard the
 // successor map assigns it to.
 
@@ -473,7 +468,7 @@ struct ReshardBenchResult {
   size_t playing_after = 0;
   size_t resumed = 0;          // Viewers that delivered a chunk post-publish.
   Histogram resume_s;          // Publish -> first chunk, per viewer.
-  double adopt_s = -1;         // Publish -> probe router serves map v2.
+  double adopt_s = -1;         // Publish -> probe table serves map v2.
   uint32_t adopted_version = 0;
   uint64_t handoffs = 0;       // mms.session_handoff across the cutover.
   uint64_t misplaced = 0;      // Sessions on a shard that does not own them.
@@ -512,7 +507,7 @@ ReshardBenchResult RunLiveReshard(size_t settop_count) {
   out.viewers = settop_count;
 
   // The streaming population: one VodApp per settop, playing through the
-  // shard router with the jittered-backoff posture real settops carry.
+  // binding table with the jittered-backoff posture real settops carry.
   std::vector<settop::VodApp*> vods;
   std::vector<uint32_t> viewer_hosts;
   for (size_t i = 0; i < settop_count; ++i) {
@@ -539,13 +534,13 @@ ReshardBenchResult RunLiveReshard(size_t settop_count) {
     out.playing_before += vod->playing() ? 1 : 0;
   }
 
-  // A probe router on a separate client: its adoption latency stands in for
-  // the fleet's (every router re-fetches within map_max_age of the publish).
+  // A probe table on a separate client: its adoption latency stands in for
+  // the fleet's (every table re-reads its map within kMapMaxAge of the
+  // publish).
   sim::Process& probe = harness.SpawnProcessOn(0, "probe");
   naming::NameClient probe_nc = harness.ClientFor(probe);
   auto* probe_table = probe.Emplace<rpc::BindingTable>(probe.runtime(),
                                                        probe_nc.PathResolverFn());
-  auto* probe_router = probe.Emplace<rpc::ShardRouter>(*probe_table);
 
   uint64_t handoff_base = harness.metrics().Get("mms.session_handoff");
   std::vector<uint64_t> chunk_base;
@@ -563,7 +558,7 @@ ReshardBenchResult RunLiveReshard(size_t settop_count) {
                           [](Result<wire::ShardMap>) {});
 
   // Step the cutover window, recording each viewer's first post-publish
-  // chunk and the probe router's adoption.
+  // chunk and the probe table's adoption.
   std::vector<double> resume_at(settop_count, -1.0);
   while (harness.cluster().Now() - publish_at < Duration::Seconds(40)) {
     harness.cluster().RunFor(Duration::Millis(250));
@@ -574,17 +569,17 @@ ReshardBenchResult RunLiveReshard(size_t settop_count) {
       }
     }
     if (out.adopt_s < 0) {
-      probe_router->ExpireMap(std::string(media::kMmsName));
-      probe_router->Route(std::string(media::kMmsName), /*key=*/1,
-                          [](rpc::Binding&) {});
-      if (probe_router->AdoptedVersion(std::string(media::kMmsName)) ==
-          successor.version) {
+      probe_table->ReadMap(media::kMmsName, [](const wire::ShardMap&) {});
+      std::optional<wire::ShardMap> map =
+          probe_table->CachedMap(media::kMmsName);
+      if (map.has_value() && map->version == successor.version) {
         out.adopt_s = elapsed;
       }
     }
   }
-  out.adopted_version =
-      probe_router->AdoptedVersion(std::string(media::kMmsName));
+  std::optional<wire::ShardMap> adopted =
+      probe_table->CachedMap(media::kMmsName);
+  out.adopted_version = adopted.has_value() ? adopted->version : 0;
   for (size_t i = 0; i < settop_count; ++i) {
     out.playing_after += vods[i]->playing() ? 1 : 0;
     if (resume_at[i] >= 0) {

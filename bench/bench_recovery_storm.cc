@@ -74,16 +74,16 @@ StormResult RunStorm(size_t clients) {
   };
   std::vector<Client> all;
   all.reserve(clients);
+  rpc::BindingOptions rb_opts;
+  rb_opts.max_attempts = 6;
+  rb_opts.initial_backoff = Duration::Millis(100);
+  rb_opts.backoff_jitter = 0.25;
   for (size_t i = 0; i < clients; ++i) {
     sim::Node& settop = harness.AddSettop(static_cast<uint8_t>(1 + (i % 2)));
     sim::Process& p = settop.Spawn("client");
-    rpc::BindingOptions rb_opts;
-    rb_opts.max_attempts = 6;
-    rb_opts.initial_backoff = Duration::Millis(100);
-    rb_opts.backoff_jitter = 0.25;
     auto* table = p.Emplace<rpc::BindingTable>(
         p.runtime(), harness.ClientFor(p).PathResolverFn());
-    table->Get("svc/popular", rb_opts).Prime(ref_v1);
+    table->Prime("svc/popular", ref_v1);
     all.push_back(Client{&p, table, 0, Time()});
   }
 
@@ -101,7 +101,7 @@ StormResult RunStorm(size_t clients) {
   // The storm: every client fires all its calls at the same virtual instant.
   Time storm_start = cluster.Now();
   for (Client& c : all) {
-    auto mgr = c.table->Bind<svc::SettopManagerProxy>("svc/popular");
+    auto mgr = c.table->Bind<svc::SettopManagerProxy>("svc/popular", rb_opts);
     for (int call = 0; call < kCallsPerClient; ++call) {
       sim::Process* p = c.process;
       Client* self = &c;

@@ -1,7 +1,7 @@
 // Machine-readable benchmark report sections.
 //
 // Each bench binary owns one top-level section of a shared JSON file
-// (BENCH_PR10.json by default, overridable via ITV_BENCH_REPORT). A binary
+// (BENCH.json by default, overridable via ITV_BENCH_REPORT). A binary
 // builds its ReportSection, then WriteMerged() reads the existing file,
 // replaces only that binary's section, and writes the merged object back —
 // so CI can run the bench binaries in any order and end up with one
@@ -26,7 +26,7 @@ namespace itv::bench {
 
 inline std::string ReportPath() {
   const char* env = std::getenv("ITV_BENCH_REPORT");
-  return env != nullptr ? std::string(env) : std::string("BENCH_PR10.json");
+  return env != nullptr ? std::string(env) : std::string("BENCH.json");
 }
 
 class ReportSection {

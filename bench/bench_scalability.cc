@@ -15,11 +15,12 @@
 //   - RPC messages per successful open (flat = no hidden central hot spot).
 //
 // A second "channel surf" phase has every admitted settop close its movie and
-// open another one, twice. Re-opens re-resolve the MMS, so this phase
-// measures the client-side resolution cache: with the cache each surf open
-// skips the name-service round trip entirely. Each cluster size runs twice —
-// cache detached, then cache attached — on identical workloads, and the
-// surf-phase msgs/open and NS resolve counts are reported for both.
+// open another one, twice. Each close and open goes through a binding to the
+// MMS, so this phase measures the client-side binding cache: with one
+// binding table per settop each surf open skips the name-service round trip
+// entirely. Each cluster size runs twice — a fresh table per call (cache
+// off), then one table per settop (cache on) — on identical workloads, and
+// the surf-phase msgs/open and NS resolve counts are reported for both.
 
 #include <algorithm>
 #include <cstdio>
@@ -31,7 +32,7 @@
 #include "src/common/rand.h"
 #include "src/load/load_board.h"
 #include "src/media/factories.h"
-#include "src/rpc/shard_router.h"
+#include "src/rpc/binding_table.h"
 #include "src/settop/app_manager.h"
 #include "src/settop/vod_app.h"
 #include "src/svc/harness.h"
@@ -83,10 +84,24 @@ RunResult RunCluster(size_t servers, size_t settops_per_server,
   size_t total = servers * settops_per_server;
   struct Viewer {
     sim::Process* process;
-    naming::NameClient nc;
+    rpc::BindingTable* table;
     uint32_t settop_host = 0;
     Future<media::MmsTicket> open;
     Time started;
+  };
+  // One attempt per call, like the bare resolve-then-invoke it measures.
+  rpc::BindingOptions once;
+  once.max_attempts = 1;
+  // The MMS binding for one call: the settop's own table (cache on), or a
+  // fresh table that must resolve again (cache off).
+  auto mms_for = [&harness, use_cache, once](const Viewer& viewer) {
+    rpc::BindingTable* table = viewer.table;
+    if (!use_cache) {
+      sim::Process& p = *viewer.process;
+      table = p.Emplace<rpc::BindingTable>(
+          p.runtime(), harness.ClientFor(p).PathResolverFn());
+    }
+    return table->Bind<media::MmsProxy>(media::kMmsName, once);
   };
   std::vector<Viewer> viewers;
   viewers.reserve(total);
@@ -102,36 +117,27 @@ RunResult RunCluster(size_t servers, size_t settops_per_server,
     uint8_t nb = static_cast<uint8_t>(1 + (i % servers));
     sim::Node& settop = harness.AddSettop(nb);
     sim::Process& p = settop.Spawn("viewer");
-    naming::NameClient nc = harness.ClientFor(p);
-    if (!use_cache) {
-      nc.set_resolution_cache(nullptr);  // Baseline: every resolve hits NS.
-    }
+    auto* table = p.Emplace<rpc::BindingTable>(
+        p.runtime(), harness.ClientFor(p).PathResolverFn());
     std::string title = "movie-" + std::to_string(rng.Below(40));
 
-    Viewer viewer{&p, nc, settop.host(), {}, harness.cluster().Now()};
+    Viewer viewer{&p, table, settop.host(), {}, harness.cluster().Now()};
     // Resolve then open; the latency histogram records resolve+open time for
     // the opens that are admitted.
     Promise<media::MmsTicket> done;
     viewer.open = done.future();
     sim::Cluster* cluster = &harness.cluster();
     Time started = viewer.started;
-    nc.Resolve(std::string(media::kMmsName))
-        .OnReady([&p, title, done, cluster, started, &open_latency,
-                  settop_host = settop.host()](
-                     const Result<wire::ObjectRef>& mms) mutable {
-          if (!mms.ok()) {
-            done.Set(mms.status());
-            return;
+    mms_for(viewer).Call<media::MmsTicket>(
+        [title, settop_host = settop.host()](const media::MmsProxy& mms) {
+          return mms.Open(title, settop_host, wire::ObjectRef{});
+        },
+        [done, cluster, started,
+         &open_latency](Result<media::MmsTicket> t) mutable {
+          if (t.ok()) {
+            open_latency.Record((cluster->Now() - started).seconds());
           }
-          media::MmsProxy proxy(p.runtime(), *mms);
-          proxy.Open(title, settop_host, wire::ObjectRef{})
-              .OnReady([done, cluster, started, &open_latency](
-                           const Result<media::MmsTicket>& t) mutable {
-                if (t.ok()) {
-                  open_latency.Record((cluster->Now() - started).seconds());
-                }
-                done.Set(t);
-              });
+          done.Set(std::move(t));
         });
     viewers.push_back(std::move(viewer));
     // Pace arrivals so MMS load snapshots refresh (5 s cadence).
@@ -168,40 +174,25 @@ RunResult RunCluster(size_t servers, size_t settops_per_server,
       std::string title = "movie-" + std::to_string(rng.Below(40));
       Promise<media::MmsTicket> done;
       viewer.open = done.future();
-      sim::Process* p = viewer.process;
       uint32_t settop_host = viewer.settop_host;
-      naming::NameClient nc = viewer.nc;
-      nc.Resolve(std::string(media::kMmsName))
-          .OnReady([p, held, title, done, settop_host,
-                    nc](const Result<wire::ObjectRef>& mms) mutable {
-            if (!mms.ok()) {
-              done.Set(mms.status());
+      // The open binds afresh, as a settop app would; with the cache on the
+      // settop's table answers it locally.
+      auto reopen = mms_for(viewer);
+      mms_for(viewer).Call<void>(
+          [movie = held.movie](const media::MmsProxy& mms) {
+            return mms.Close(movie);
+          },
+          [reopen, title, done, settop_host](Result<void> closed) mutable {
+            if (!closed.ok()) {
+              done.Set(closed.status());
               return;
             }
-            media::MmsProxy proxy(p->runtime(), *mms);
-            proxy.Close(held.movie)
-                .OnReady([p, title, done, settop_host, nc](
-                             const Result<void>& closed) mutable {
-                  if (!closed.ok()) {
-                    done.Set(closed.status());
-                    return;
-                  }
-                  // Re-resolve per open, as a settop app would; with the
-                  // cache attached this is answered locally.
-                  nc.Resolve(std::string(media::kMmsName))
-                      .OnReady([p, title, done, settop_host](
-                                   const Result<wire::ObjectRef>& mms2) mutable {
-                        if (!mms2.ok()) {
-                          done.Set(mms2.status());
-                          return;
-                        }
-                        media::MmsProxy proxy2(p->runtime(), *mms2);
-                        proxy2.Open(title, settop_host, wire::ObjectRef{})
-                            .OnReady(
-                                [done](const Result<media::MmsTicket>& t) mutable {
-                                  done.Set(t);
-                                });
-                      });
+            reopen.Call<media::MmsTicket>(
+                [title, settop_host](const media::MmsProxy& mms) {
+                  return mms.Open(title, settop_host, wire::ObjectRef{});
+                },
+                [done](Result<media::MmsTicket> t) mutable {
+                  done.Set(std::move(t));
                 });
           });
       harness.cluster().RunFor(Duration::Millis(50));
@@ -278,12 +269,10 @@ ShardRunResult RunShardCluster(uint32_t shards, size_t settop_count) {
     uint8_t nb = static_cast<uint8_t>(1 + (i % kServers));
     sim::Node& settop = harness.AddSettop(nb);
     sim::Process& p = settop.Spawn("viewer");
-    naming::NameClient nc = harness.ClientFor(p);
-    auto* table =
-        p.Emplace<rpc::BindingTable>(p.runtime(), nc.PathResolverFn());
-    auto* router = p.Emplace<rpc::ShardRouter>(*table);
-    rpc::ShardedClient<media::MmsProxy> mms(
-        *router, std::string(media::kMmsName), rpc::BindingOptions{});
+    auto* table = p.Emplace<rpc::BindingTable>(
+        p.runtime(), harness.ClientFor(p).PathResolverFn());
+    auto mms = table->BindSharded<media::MmsProxy>(media::kMmsName,
+                                                   rpc::BindingOptions{});
     std::string title = "movie-" + std::to_string(rng.Below(40));
     Promise<media::MmsTicket> done;
     opens[i] = done.future();
@@ -571,8 +560,8 @@ int main() {
   }
   std::printf(
       "\nexpect: max_primary ~ 64/shards (>=2x reduction at 4 shards vs 1) "
-      "and hosts ~\nmin(shards, servers); open latency flat — the router adds "
-      "one cached map lookup.\n");
+      "and hosts ~\nmin(shards, servers); open latency flat — the binding "
+      "table adds one cached map\nlookup.\n");
 
   bench::PrintHeader(
       "E2c: hot-shard skew — load-board sibling retry vs blind shedding");
@@ -647,7 +636,7 @@ int main() {
       "\nexpect: admitted ~= 16 x servers; open latency and cold per-open "
       "message cost\nroughly flat => no central bottleneck (cold m/open "
       "includes background polling\ntraffic, so it overstates the true cost "
-      "uniformly). With the resolution cache,\nsurf m/open drops and "
+      "uniformly). With one binding table per\nsettop, surf m/open drops and "
       "surf-phase NS resolves collapse to ~0: re-opens skip the\n"
       "name-service round trip.\n");
   return 0;

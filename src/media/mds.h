@@ -20,6 +20,7 @@
 #include "src/common/executor.h"
 #include "src/common/metrics.h"
 #include "src/media/types.h"
+#include "src/naming/types.h"
 #include "src/rpc/runtime.h"
 
 namespace itv::media {
@@ -143,6 +144,13 @@ class MdsProxy : public rpc::Proxy {
         Call(kMdsMethodClose, rpc::EncodeArgs(stream_id)));
   }
 };
+
+// A replica entry of the svc/mds context: a live object, not the context's
+// builtin selector (a null-endpoint pseudo-ref that no MDS answers for).
+inline bool IsMdsReplica(const naming::Binding& binding) {
+  return binding.kind == naming::BindingKind::kObject &&
+         !binding.ref.endpoint.is_null();
+}
 
 class MovieProxy : public rpc::Proxy {
  public:

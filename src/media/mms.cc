@@ -17,7 +17,6 @@ MmsService::MmsService(rpc::ObjectRuntime& runtime, Executor& executor,
       options_(options),
       metrics_(metrics),
       bindings_(runtime, name_client_.PathResolverFn()),
-      cmgr_router_(bindings_),
       admission_(options.admission),
       next_session_id_(runtime.incarnation() << 20) {}
 
@@ -211,7 +210,7 @@ void MmsService::RefreshMdsDirectory() {
           return;
         }
         for (const naming::Binding& binding : *r) {
-          if (binding.kind != naming::BindingKind::kObject) {
+          if (!IsMdsReplica(binding)) {
             continue;
           }
           MdsReplica& replica = mds_[binding.name];
@@ -229,8 +228,6 @@ void MmsService::RefreshMdsDirectory() {
 void MmsService::ProbeReplica(const std::string& name,
                               const wire::ObjectRef& ref) {
   MdsProxy mds(runtime_, ref);
-  rpc::CallOptions opts;
-  opts.timeout = options_.rpc_timeout;
   mds.GetInventory().OnReady([this, name,
                               ref](const Result<std::vector<MovieInfo>>& inv) {
     auto it = mds_.find(name);
@@ -297,11 +294,10 @@ std::vector<MmsService::MdsReplica*> MmsService::CandidatesFor(
 
 // --- Open ------------------------------------------------------------------------
 
-rpc::ShardedClient<CmgrProxy> MmsService::CmgrFor(uint8_t neighborhood) {
-  rpc::BindingOptions opts = bindings_.default_options();
+rpc::BoundClient<CmgrProxy> MmsService::CmgrFor(uint8_t neighborhood) {
+  rpc::BindingOptions opts = rpc::BindingTable::DefaultOptions();
   opts.max_attempts = 2;
-  return rpc::ShardedClient<CmgrProxy>(cmgr_router_, CmgrName(neighborhood),
-                                       opts);
+  return bindings_.BindSharded<CmgrProxy>(CmgrName(neighborhood), opts);
 }
 
 void MmsService::HandleOpen(const std::string& title, uint32_t settop_host,
@@ -587,7 +583,7 @@ void MmsService::RebuildStateFromMds(bool register_watches,
     }
     std::vector<naming::Binding> replicas;
     for (const naming::Binding& binding : *r) {
-      if (binding.kind == naming::BindingKind::kObject) {
+      if (IsMdsReplica(binding)) {
         replicas.push_back(binding);
       }
     }

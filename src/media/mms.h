@@ -38,7 +38,7 @@
 #include "src/media/types.h"
 #include "src/naming/name_client.h"
 #include "src/ras/audit_client.h"
-#include "src/rpc/shard_router.h"
+#include "src/rpc/binding_table.h"
 #include "src/svc/lifecycle.h"
 #include "src/wire/shard_map.h"
 
@@ -270,7 +270,7 @@ class MmsService : public rpc::Skeleton {
   // Returns the number handed off.
   size_t DrainMovedSessions();
 
-  rpc::ShardedClient<CmgrProxy> CmgrFor(uint8_t neighborhood);
+  rpc::BoundClient<CmgrProxy> CmgrFor(uint8_t neighborhood);
   bool OwnsSettop(uint32_t settop_host) const {
     return wire::ShardOf(settop_host, options_.shard_map) ==
            options_.shard_index;
@@ -288,11 +288,10 @@ class MmsService : public rpc::Skeleton {
   std::unique_ptr<ras::AuditClient> audit_;
   std::map<std::string, MdsReplica> mds_;
   std::map<uint64_t, Session> sessions_;
-  rpc::BindingTable bindings_;  // Per-neighborhood connection managers.
-  // Routes connection-manager calls by settop host: with sharded CMgrs the
-  // settop's budget lives on exactly one shard, so every Allocate/Release
-  // for a settop must land there.
-  rpc::ShardRouter cmgr_router_;
+  // Per-neighborhood connection managers, routed by settop host: with
+  // sharded CMgrs the settop's budget lives on exactly one shard, so every
+  // Allocate/Release for a settop must land there.
+  rpc::BindingTable bindings_;
   // Per-shard grant budget (disabled unless Options::admission.pool_bps set).
   load::AdmissionController admission_;
   uint64_t next_session_id_;

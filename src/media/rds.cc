@@ -24,7 +24,7 @@ RdsService::RdsService(rpc::ObjectRuntime& runtime, Executor& executor,
 }
 
 rpc::BoundClient<CmgrProxy> RdsService::CmgrFor(uint8_t neighborhood) {
-  rpc::BindingOptions opts = bindings_.default_options();
+  rpc::BindingOptions opts = rpc::BindingTable::DefaultOptions();
   opts.max_attempts = 2;
   return bindings_.Bind<CmgrProxy>(CmgrName(neighborhood), opts);
 }

@@ -73,10 +73,9 @@ void RetryPublish(Executor& executor, NameClient client, std::string base,
 void SwapShardMap(Executor& executor, NameClient client, std::string base,
                   wire::ShardMap map, PublishDone done, Duration retry,
                   int attempts_left) {
-  // Resolve through the master path, not the process resolution cache: a
-  // cached pre-reshard map would make the CAS spin on stale evidence.
-  NamingContextProxy root(client.runtime(), client.root());
-  root.Resolve(SplitPath(wire::ShardMapPath(base)))
+  // Resolve the name service's copy, never a client-side cached map: a
+  // pre-reshard map would make the CAS spin on stale evidence.
+  client.Resolve(wire::ShardMapPath(base))
       .OnReady([&executor, client, base, map, done, retry,
                 attempts_left](const Result<wire::ObjectRef>& r) {
         if (r.ok() && wire::IsShardMapRef(*r)) {
@@ -309,11 +308,9 @@ void PrimaryBinder::VerifyPrimary() {
   if (!running_ || !is_primary_) {
     return;
   }
-  // Bypass the process's resolution cache: a cached entry could be our own
-  // stale binding and mask the loss this probe exists to detect.
-  NamingContextProxy root(client_.runtime(), client_.root());
-  root.Resolve(SplitPath(path_)).OnReady([this](
-                                             const Result<wire::ObjectRef>& r) {
+  // Ask the name service, never a cached binding: a cached entry could be
+  // our own stale binding and mask the loss this probe exists to detect.
+  client_.Resolve(path_).OnReady([this](const Result<wire::ObjectRef>& r) {
     if (!running_ || !is_primary_) {
       return;
     }

@@ -20,8 +20,6 @@
 #include "src/common/metrics.h"
 #include "src/naming/stubs.h"
 #include "src/rpc/binding_table.h"
-#include "src/rpc/rebinder.h"
-#include "src/rpc/resolution_cache.h"
 #include "src/wire/shard_map.h"
 
 namespace itv::naming {
@@ -40,36 +38,13 @@ class NameClient {
   const wire::ObjectRef& root() const { return root_; }
   rpc::ObjectRuntime& runtime() const { return runtime_; }
 
-  // Attaches a per-process resolution cache: Resolve() consults it before
-  // issuing the NS RPC, successful resolves populate it, and local
-  // Bind/Unbind through this client invalidate the touched path. The cache
-  // must outlive every copy of this client (sim::Process owns both). Stale
-  // entries are handled by the cache's wiring to the runtime's stale-target
-  // notifications (NACK/timeout) plus its max-age; see resolution_cache.h.
-  void set_resolution_cache(rpc::ResolutionCache* cache) { cache_ = cache; }
-  rpc::ResolutionCache* resolution_cache() const { return cache_; }
-
   Future<wire::ObjectRef> Resolve(const std::string& path) const {
-    if (cache_ != nullptr) {
-      if (std::optional<wire::ObjectRef> hit = cache_->Lookup(path)) {
-        return Future<wire::ObjectRef>::Ready(*hit);
-      }
-      Future<wire::ObjectRef> f = Proxy().Resolve(SplitPath(path));
-      f.OnReady([cache = cache_, path](const Result<wire::ObjectRef>& r) {
-        if (r.ok()) {
-          cache->Insert(path, *r);
-        }
-      });
-      return f;
-    }
     return Proxy().Resolve(SplitPath(path));
   }
   Future<void> Bind(const std::string& path, const wire::ObjectRef& obj) const {
-    InvalidateCached(path);
     return Proxy().Bind(SplitPath(path), obj);
   }
   Future<void> Unbind(const std::string& path) const {
-    InvalidateCached(path);
     return Proxy().Unbind(SplitPath(path));
   }
   Future<void> BindNewContext(const std::string& path) const {
@@ -98,15 +73,6 @@ class NameClient {
     return Proxy().ListRepl(SplitPath(path));
   }
 
-  // A resolve function for rpc::Rebinder: re-resolves `path` on demand.
-  rpc::Rebinder::ResolveFn ResolveFnFor(std::string path) const {
-    return [client = *this, path = std::move(path)](
-               std::function<void(Result<wire::ObjectRef>)> cb) {
-      client.Resolve(path).OnReady(
-          [cb](const Result<wire::ObjectRef>& r) { cb(r); });
-    };
-  }
-
   // Adapts this client into the binding layer's resolver: a per-process
   // rpc::BindingTable constructed with this resolves every binding path
   // through the name service.
@@ -123,15 +89,8 @@ class NameClient {
     return NamingContextProxy(runtime_, root_);
   }
 
-  void InvalidateCached(const std::string& path) const {
-    if (cache_ != nullptr) {
-      cache_->InvalidatePath(path);
-    }
-  }
-
   rpc::ObjectRuntime& runtime_;
   wire::ObjectRef root_;
-  rpc::ResolutionCache* cache_ = nullptr;
 };
 
 // Creates every component of `path` as a nested plain context, treating

@@ -11,14 +11,15 @@ AuditClient::AuditClient(rpc::ObjectRuntime& runtime, Executor& executor,
       local_ras_(local_ras),
       options_(options),
       // The local RAS lives at a well-known ref that survives restarts, so
-      // the binding is pinned: no name-service resolve, but calls still get
-      // the binding layer's retry/deadline/metrics treatment.
-      bindings_(runtime, [](const std::string&,
+      // the binding "resolves" to that ref without a name-service lookup,
+      // but calls still get the binding layer's retry/deadline/metrics.
+      bindings_(runtime,
+                [local_ras](const std::string&,
                             std::function<void(Result<wire::ObjectRef>)> cb) {
-        cb(InternalError("pinned binding has no resolver"));
-      }),
-      ras_(bindings_.BindPinned<RasProxy>("ras/local", local_ras,
-                                          options_.binding)) {
+                  cb(local_ras);
+                }),
+      ras_(bindings_.Bind<RasProxy>("ras/local", options_.binding)) {
+  bindings_.Prime("ras/local", local_ras);
   poll_timer_.Start(executor_, options_.poll_interval, [this] { Poll(); });
 }
 

@@ -31,9 +31,9 @@ class AuditClient {
     // (paper Section 9.7), the MMS the same by default.
     Duration poll_interval = Duration::Seconds(10);
     Duration rpc_timeout = Duration::Seconds(2);
-    // Retry/deadline policy for the pinned RAS binding; the deadline stays
+    // Retry/deadline policy for the local RAS binding; the deadline stays
     // under poll_interval so a slow poll never overlaps the next one.
-    rpc::BindingOptions binding = PinnedRasDefaults();
+    rpc::BindingOptions binding = LocalRasDefaults();
   };
 
   using WatchId = uint64_t;
@@ -62,7 +62,7 @@ class AuditClient {
     DeathCallback cb;
   };
 
-  static rpc::BindingOptions PinnedRasDefaults() {
+  static rpc::BindingOptions LocalRasDefaults() {
     rpc::BindingOptions opts;
     opts.max_attempts = 2;
     opts.deadline = Duration::Seconds(8);

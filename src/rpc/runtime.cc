@@ -305,7 +305,7 @@ void ObjectRuntime::FailCall(uint64_t call_id, Status status) {
 
 void ObjectRuntime::NotifyStaleTarget(const wire::ObjectRef& target,
                                       bool definitely_dead) {
-  for (const StaleTargetObserver& observer : stale_target_observers_) {
+  for (const auto& [id, observer] : stale_target_observers_) {
     observer(target, definitely_dead);
   }
 }

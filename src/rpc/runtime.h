@@ -9,8 +9,8 @@
 // Client side: typed proxies call Invoke(), which marshals a request, sends
 // it through the Transport, and completes a Future with the reply payload.
 // A NACK (dead/restarted implementor) completes with UNAVAILABLE — the signal
-// for the Rebinder to re-resolve (paper Section 8.2). Lost messages surface
-// as DEADLINE_EXCEEDED via per-call timers.
+// for the binding table to re-resolve (paper Section 8.2). Lost messages
+// surface as DEADLINE_EXCEEDED via per-call timers.
 
 #ifndef SRC_RPC_RUNTIME_H_
 #define SRC_RPC_RUNTIME_H_
@@ -111,13 +111,18 @@ class ObjectRuntime {
   // Observers notified when a call to `target` fails in a way that suggests
   // the reference is stale: a NACK (`definitely_dead` — the implementor is
   // gone or restarted, paper Section 3.2.1) or a timeout (`!definitely_dead`
-  // — crash/partition suspicion). The resolution cache subscribes to drop
-  // entries pointing at the dead process, so the next resolve goes back to
-  // the name service instead of replaying the stale binding.
+  // — crash/partition suspicion). The binding table subscribes to drop
+  // entries pointing at the dead process, so the next call goes back to the
+  // name service instead of replaying the stale binding. Add returns a handle
+  // for Remove; an observer must be removed before it is destroyed.
   using StaleTargetObserver =
       std::function<void(const wire::ObjectRef& target, bool definitely_dead)>;
-  void AddStaleTargetObserver(StaleTargetObserver observer) {
-    stale_target_observers_.push_back(std::move(observer));
+  uint64_t AddStaleTargetObserver(StaleTargetObserver observer) {
+    stale_target_observers_.emplace(next_observer_id_, std::move(observer));
+    return next_observer_id_++;
+  }
+  void RemoveStaleTargetObserver(uint64_t id) {
+    stale_target_observers_.erase(id);
   }
 
   // Tracer for causal spans (may be null / unset: tracing off). When set,
@@ -178,7 +183,8 @@ class ObjectRuntime {
   uint64_t next_call_id_ = 1;
   std::map<uint64_t, Skeleton*> servants_;
   std::map<uint64_t, PendingCall> pending_;
-  std::vector<StaleTargetObserver> stale_target_observers_;
+  uint64_t next_observer_id_ = 1;
+  std::map<uint64_t, StaleTargetObserver> stale_target_observers_;
 };
 
 }  // namespace itv::rpc

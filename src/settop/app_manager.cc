@@ -56,8 +56,8 @@ uint64_t AppManager::rds_rebinds() const {
   if (bindings_ == nullptr) {
     return 0;
   }
-  rpc::Binding* rds = bindings_->Find("svc/rds");
-  return rds == nullptr ? 0 : rds->rebind_count();
+  const rpc::BindingTable::Entry* rds = bindings_->Find("svc/rds");
+  return rds == nullptr ? 0 : rds->rebinds;
 }
 
 void AppManager::Boot(std::function<void(Status)> done) {

@@ -52,8 +52,8 @@ VodApp::VodApp(rpc::ObjectRuntime& runtime, Executor& executor,
       options_(options),
       metrics_(metrics),
       bindings_(runtime, name_client_.PathResolverFn()),
-      router_(bindings_),
-      mms_(router_, std::string(media::kMmsName), options.mms_rebind) {
+      mms_(bindings_.BindSharded<media::MmsProxy>(media::kMmsName,
+                                                  options.mms_rebind)) {
   sink_ = std::make_unique<MediaSinkSkeleton>(*this);
   sink_ref_ = runtime_.Export(sink_.get());
 }
@@ -165,7 +165,7 @@ void VodApp::RetrySibling(int64_t from_position, Status original) {
             }
             std::optional<uint32_t> own;
             if (std::optional<wire::ShardMap> map =
-                    router_.CachedMap(std::string(media::kMmsName));
+                    bindings_.CachedMap(media::kMmsName);
                 map.has_value() && map->sharded()) {
               own = wire::ShardOf(runtime_.local_endpoint().host, *map);
             }

@@ -25,7 +25,6 @@
 #include "src/media/mms.h"
 #include "src/naming/name_client.h"
 #include "src/rpc/binding_table.h"
-#include "src/rpc/shard_router.h"
 
 namespace itv::settop {
 
@@ -94,8 +93,7 @@ class VodApp {
   rpc::BindingTable bindings_;
   // Routed by this settop's own host id: all of one settop's sessions land on
   // the same MMS shard, and unsharded deployments route to svc/mms unchanged.
-  rpc::ShardRouter router_;
-  rpc::ShardedClient<media::MmsProxy> mms_;
+  rpc::BoundClient<media::MmsProxy> mms_;
   std::unique_ptr<MediaSinkSkeleton> sink_;
   wire::ObjectRef sink_ref_;
 

@@ -163,8 +163,6 @@ Process::Process(Cluster& cluster, Node& node, std::string name, uint64_t pid,
       transport_(std::make_unique<SimTransport>(cluster,
                                                 wire::Endpoint{node.host(), port})),
       default_policy_(log_identity_),
-      resolution_cache_(std::make_unique<rpc::ResolutionCache>(
-          executor_, &cluster.metrics())),
       runtime_(std::make_unique<rpc::ObjectRuntime>(executor_, *transport_,
                                                     incarnation_,
                                                     &default_policy_,
@@ -172,13 +170,6 @@ Process::Process(Cluster& cluster, Node& node, std::string name, uint64_t pid,
   executor_.set_identity(&log_identity_);
   transport_->set_identity(&log_identity_);
   runtime_->set_tracer(&tracer_);
-  // NACKs and call timeouts purge cached bindings to the failed process, so
-  // the next resolve after a fail-over goes to the name service.
-  runtime_->AddStaleTargetObserver(
-      [cache = resolution_cache_.get()](const wire::ObjectRef& target,
-                                        bool definitely_dead) {
-        cache->InvalidateTarget(target, definitely_dead);
-      });
 }
 
 Process::~Process() = default;

@@ -32,7 +32,6 @@
 #include "src/common/metrics.h"
 #include "src/common/rand.h"
 #include "src/common/trace.h"
-#include "src/rpc/resolution_cache.h"
 #include "src/rpc/runtime.h"
 #include "src/rpc/security.h"
 #include "src/rpc/transport.h"
@@ -259,10 +258,6 @@ class Process {
   rpc::ObjectRuntime& runtime() { return *runtime_; }
   rpc::Transport& transport() { return *transport_; }
   rpc::InsecurePolicy& default_policy() { return default_policy_; }
-  // Per-process resolution cache, wired to the runtime's stale-target
-  // notifications; NameClients for this process attach it via
-  // set_resolution_cache (see svc::ClusterHarness::ClientFor).
-  rpc::ResolutionCache& resolution_cache() { return *resolution_cache_; }
   trace::Tracer& tracer() { return tracer_; }
   // "node/process" — what log lines and spans are stamped with.
   const std::string& log_identity() const { return log_identity_; }
@@ -311,9 +306,6 @@ class Process {
   trace::Tracer tracer_;
   std::unique_ptr<SimTransport> transport_;
   rpc::InsecurePolicy default_policy_;
-  // Declared before runtime_: the runtime's stale-target observer points at
-  // the cache, so the cache must outlive it.
-  std::unique_ptr<rpc::ResolutionCache> resolution_cache_;
   std::unique_ptr<rpc::ObjectRuntime> runtime_;
   std::vector<std::shared_ptr<void>> owned_;  // Destroyed back-to-front.
   std::vector<ExitWatcher> exit_watchers_;

@@ -147,11 +147,7 @@ sim::Process& ClusterHarness::SpawnProcessOn(size_t server_index,
 }
 
 naming::NameClient ClusterHarness::ClientFor(sim::Process& process) const {
-  naming::NameClient client(process.runtime(), NsHostFor(process.host()));
-  // Resolves go through the process's cache; stale entries are purged by the
-  // runtime's NACK/timeout notifications (see sim::Process's constructor).
-  client.set_resolution_cache(&process.resolution_cache());
-  return client;
+  return naming::NameClient(process.runtime(), NsHostFor(process.host()));
 }
 
 std::vector<wire::Endpoint> ClusterHarness::NsPeers() const {

@@ -123,6 +123,22 @@ TEST_F(MediaTest, MediaStackComesUp) {
   }
 }
 
+TEST_F(MediaTest, NoServiceProbesTheMdsSelector) {
+  // svc/mds is a replicated context whose builtin selector binding is a
+  // null-endpoint pseudo-ref, not a replica: the MMS's directory refresh and
+  // session rebuild and the CMgr's grant audit must not send it requests
+  // (each would time out and report a stale target).
+  size_t null_requests = 0;
+  cluster().network().SetTap(
+      [&null_requests](const wire::Endpoint&, const wire::Endpoint& dst,
+                       const wire::Message& msg) {
+        null_requests += msg.kind == wire::MsgKind::kRequest && dst.is_null();
+      });
+  cluster().RunFor(Duration::Seconds(15));  // Three refresh ticks.
+  cluster().network().SetTap(nullptr);
+  EXPECT_EQ(null_requests, 0u);
+}
+
 TEST_F(MediaTest, SettopBootLearnsNameServiceAndHeartbeats) {
   TestSettop s = MakeSettop(2);
   EXPECT_TRUE(s.am->running());

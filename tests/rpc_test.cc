@@ -1,13 +1,13 @@
-// Object-exchange layer tests: invocation, errors, stale references, NACKs,
-// timeouts, and the automatic rebinding library — exercised over the
-// simulated cluster. The Echo interface below follows the same hand-written
-// stub pattern as the real services (idl/README.md).
+// Object-exchange layer tests: invocation, errors, stale references, NACKs
+// and timeouts, exercised over the simulated cluster (the rebinding library
+// on top has its own suite, binding_test.cc). The Echo interface below
+// follows the same hand-written stub pattern as the real services
+// (idl/README.md).
 
 #include <gtest/gtest.h>
 
 #include <string>
 
-#include "src/rpc/rebinder.h"
 #include "src/rpc/runtime.h"
 #include "src/rpc/stub_helpers.h"
 #include "src/sim/cluster.h"
@@ -290,155 +290,6 @@ TEST_F(RpcTest, MetricsCountTraffic) {
   EXPECT_EQ(m.Get("rpc.reply.sent"), 1u);
   EXPECT_EQ(m.Get("rpc.reply.recv"), 1u);
   EXPECT_GE(m.Get("net.msg.total"), 2u);
-}
-
-// --- Rebinder ---------------------------------------------------------------
-
-class RebinderTest : public RpcTest {
- protected:
-  // A resolve function that hands out the current ref for port 700 (as if a
-  // name service re-resolved it).
-  Rebinder::ResolveFn MakeResolver() {
-    return [this](std::function<void(Result<wire::ObjectRef>)> cb) {
-      ++resolve_calls_;
-      if (current_ref_.is_null()) {
-        cb(NotFoundError("no binding"));
-      } else {
-        cb(current_ref_);
-      }
-    };
-  }
-
-  int resolve_calls_ = 0;
-  wire::ObjectRef current_ref_;
-};
-
-TEST_F(RebinderTest, FirstCallResolvesAndSucceeds) {
-  current_ref_ = echo_ref_;
-  Rebinder rb(client_proc_->executor(), MakeResolver());
-  Result<std::string> out = InternalError("unset");
-  rb.Call<std::string>(
-      [this](const wire::ObjectRef& ref) {
-        return EchoProxy(client_proc_->runtime(), ref).Echo("hi");
-      },
-      [&](Result<std::string> r) { out = std::move(r); });
-  cluster_.RunFor(Duration::Seconds(2));
-  ASSERT_TRUE(out.ok()) << out.status();
-  EXPECT_EQ(*out, "hi");
-  EXPECT_EQ(resolve_calls_, 1);
-}
-
-TEST_F(RebinderTest, CachedRefSkipsResolve) {
-  current_ref_ = echo_ref_;
-  Rebinder rb(client_proc_->executor(), MakeResolver());
-  for (int i = 0; i < 3; ++i) {
-    Result<std::string> out = InternalError("unset");
-    rb.Call<std::string>(
-        [this](const wire::ObjectRef& ref) {
-          return EchoProxy(client_proc_->runtime(), ref).Echo("hi");
-        },
-        [&](Result<std::string> r) { out = std::move(r); });
-    cluster_.RunFor(Duration::Seconds(2));
-    ASSERT_TRUE(out.ok());
-  }
-  EXPECT_EQ(resolve_calls_, 1);
-  EXPECT_EQ(rb.rebind_count(), 1u);
-}
-
-TEST_F(RebinderTest, RebindsAfterServiceRestart) {
-  current_ref_ = echo_ref_;
-  Rebinder rb(client_proc_->executor(), MakeResolver());
-
-  // Warm the cache.
-  Result<std::string> warm = InternalError("unset");
-  rb.Call<std::string>(
-      [this](const wire::ObjectRef& ref) {
-        return EchoProxy(client_proc_->runtime(), ref).Echo("warm");
-      },
-      [&](Result<std::string> r) { warm = std::move(r); });
-  cluster_.RunFor(Duration::Seconds(2));
-  ASSERT_TRUE(warm.ok());
-
-  // Restart the service on the same port; update what resolve returns.
-  server_->Kill(server_proc_->pid());
-  cluster_.RunUntilIdle();
-  sim::Process& proc2 = server_->Spawn("echo", 700);
-  auto* echo2 = proc2.Emplace<TestEcho>();
-  auto* skel2 = proc2.Emplace<EchoSkeleton>(*echo2);
-  current_ref_ = proc2.runtime().Export(skel2);
-
-  Result<std::string> out = InternalError("unset");
-  rb.Call<std::string>(
-      [this](const wire::ObjectRef& ref) {
-        return EchoProxy(client_proc_->runtime(), ref).Echo("again");
-      },
-      [&](Result<std::string> r) { out = std::move(r); });
-  cluster_.RunFor(Duration::Seconds(5));
-  ASSERT_TRUE(out.ok()) << out.status();
-  EXPECT_EQ(*out, "again");
-  EXPECT_EQ(resolve_calls_, 2);  // One initial + one rebind.
-}
-
-TEST_F(RebinderTest, GivesUpAfterMaxAttempts) {
-  current_ref_ = echo_ref_;
-  server_->Kill(server_proc_->pid());
-  cluster_.RunUntilIdle();
-
-  Rebinder::Options opts;
-  opts.max_attempts = 3;
-  opts.initial_backoff = Duration::Millis(10);
-  Rebinder rb(client_proc_->executor(), MakeResolver(), opts);
-  Result<std::string> out = OkStatus().ok() ? Result<std::string>(std::string("unset"))
-                                            : Result<std::string>(InternalError(""));
-  bool done = false;
-  rb.Call<std::string>(
-      [this](const wire::ObjectRef& ref) {
-        return EchoProxy(client_proc_->runtime(), ref).Echo("x");
-      },
-      [&](Result<std::string> r) {
-        out = std::move(r);
-        done = true;
-      });
-  cluster_.RunFor(Duration::Seconds(10));
-  ASSERT_TRUE(done);
-  EXPECT_TRUE(IsUnavailable(out.status()));
-  EXPECT_EQ(resolve_calls_, 3);
-}
-
-TEST_F(RebinderTest, NonRebindableErrorsAreNotRetried) {
-  current_ref_ = echo_ref_;
-  Rebinder rb(client_proc_->executor(), MakeResolver());
-  Result<void> out = OkStatus();
-  rb.Call<void>(
-      [this](const wire::ObjectRef& ref) {
-        return EchoProxy(client_proc_->runtime(), ref).Fail();
-      },
-      [&](Result<void> r) { out = std::move(r); });
-  cluster_.RunFor(Duration::Seconds(2));
-  EXPECT_TRUE(IsNotFound(out.status()));
-  EXPECT_EQ(resolve_calls_, 1);
-}
-
-TEST_F(RebinderTest, ResolveFailureRetriesUntilBindingAppears) {
-  // Binding appears only after 1 second (e.g. primary/backup fail-over).
-  current_ref_ = wire::ObjectRef{};
-  client_proc_->executor().ScheduleAfter(Duration::Seconds(1),
-                                         [this] { current_ref_ = echo_ref_; });
-  Rebinder::Options opts;
-  opts.max_attempts = 20;
-  opts.initial_backoff = Duration::Millis(200);
-  opts.backoff_multiplier = 1.0;
-  Rebinder rb(client_proc_->executor(), MakeResolver(), opts);
-  Result<std::string> out = InternalError("unset");
-  rb.Call<std::string>(
-      [this](const wire::ObjectRef& ref) {
-        return EchoProxy(client_proc_->runtime(), ref).Echo("eventually");
-      },
-      [&](Result<std::string> r) { out = std::move(r); });
-  cluster_.RunFor(Duration::Seconds(10));
-  ASSERT_TRUE(out.ok()) << out.status();
-  EXPECT_EQ(*out, "eventually");
-  EXPECT_GT(resolve_calls_, 1);
 }
 
 }  // namespace

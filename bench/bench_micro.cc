@@ -49,23 +49,6 @@ void BM_DecodeMessage(benchmark::State& state) {
 }
 BENCHMARK(BM_DecodeMessage)->Arg(64)->Arg(1024)->Arg(65536);
 
-// Consuming overload: the payload is moved out of the frame buffer instead of
-// copied. The copy back into `encoded` each iteration is part of the setup
-// cost, so the delta vs BM_DecodeMessage understates the win at large sizes.
-void BM_DecodeMessageMove(benchmark::State& state) {
-  wire::Message msg;
-  msg.payload.assign(static_cast<size_t>(state.range(0)), 0xab);
-  wire::Bytes encoded = wire::EncodeMessage(msg);
-  wire::Bytes frame;
-  for (auto _ : state) {
-    frame = encoded;
-    wire::Message out;
-    benchmark::DoNotOptimize(wire::DecodeMessage(std::move(frame), &out));
-  }
-  state.SetBytesProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_DecodeMessageMove)->Arg(64)->Arg(1024)->Arg(65536);
-
 // Append-into-existing-buffer encode, as the TCP transport frames messages.
 void BM_EncodeMessageTo(benchmark::State& state) {
   wire::Message msg;
@@ -243,13 +226,6 @@ void WriteReport() {
   report.Set("decode_ns_1024", MeasureNsPerOp([&] {
                wire::Message out;
                benchmark::DoNotOptimize(wire::DecodeMessage(encoded, &out));
-             }));
-  wire::Bytes frame;
-  report.Set("decode_move_ns_1024", MeasureNsPerOp([&] {
-               frame = encoded;
-               wire::Message out;
-               benchmark::DoNotOptimize(
-                   wire::DecodeMessage(std::move(frame), &out));
              }));
   report.Set("sign_ns_1024", MeasureNsPerOp([&] {
                benchmark::DoNotOptimize(

@@ -42,10 +42,10 @@ sim::ChaosSpec BuildSpec(const FuzzOptions& options,
   // restarts what it manages, the CSC replaces what it placed.
   spec.kill_names = {"mmsd", "mdsd", "nsd", "rasd", "settopmgr", "trunkd"};
   if (options.skewed_load) {
-    // The skewed sweep leans on the load board (sibling retry, MMS board
-    // snapshots), so the board itself must be fair game: it is soft state
-    // and everything must degrade to polling while it is down. Kept out of
-    // the default list so pinned-corpus schedules stay byte-for-byte stable.
+    // The skewed sweep leans on the load board (sibling retry), so the board
+    // itself must be fair game: it is soft state, and while it is down a
+    // shed open keeps the home shard's error. Kept out of the default
+    // list so pinned-corpus schedules stay byte-for-byte stable.
     spec.kill_names.push_back("loadboardd");
   }
   for (uint8_t nb = 1; nb <= options.neighborhood_count; ++nb) {

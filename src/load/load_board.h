@@ -1,15 +1,12 @@
 // Cluster load board (ROADMAP "Shard-aware admission"): a soft-state
-// directory of per-service load, the shared health/state view that MSCS-style
-// clusters keep and the paper's MMS approximates with per-replica polling.
+// directory of MMS shard headroom.
 //
-// Producers — MDS replicas and MMS/CMgr shard primaries — publish a
-// LoadReport every few seconds through their ServiceLifecycle
-// (Hooks::load_sample). Consumers read a filtered Snapshot:
-//
-//   - the MMS replaces its per-replica GetLoad fan-out with one
-//     Snapshot("svc/mds") per refresh tick (plus its optimistic local bumps),
-//   - settops whose open was shed by an overloaded MMS shard ask for
-//     Snapshot("svc/mms") and retry against the least-loaded sibling shard.
+// Each MMS shard primary publishes a LoadReport of its admission ledger
+// every few seconds through its ServiceLifecycle (Hooks::load_sample).
+// Settops whose open was shed by an overloaded shard read
+// Snapshot("svc/mms") and retry against the sibling shard with the most
+// headroom. (MDS load does not pass through the board: the MMS reads it,
+// with titles and sessions, from its sync round; see media/mms.h.)
 //
 // The board is PURELY soft state (paper Section 10.1: "the volatile state
 // ... can be reconstructed"): entries decay — a report older than the entry

@@ -4,14 +4,14 @@ namespace itv::load {
 
 LoadReporter::LoadReporter(rpc::ObjectRuntime& runtime, Executor& executor,
                            rpc::PathResolver resolver, std::string reporter,
-                           Options options, SampleFn sample, Metrics* metrics)
+                           Duration interval, SampleFn sample, Metrics* metrics)
     : executor_(executor),
       reporter_(std::move(reporter)),
-      options_(options),
+      interval_(interval),
       sample_(std::move(sample)),
       metrics_(metrics),
       bindings_(runtime, std::move(resolver)),
-      board_(bindings_.Bind<LoadBoardProxy>(options_.board_path)),
+      board_(bindings_.Bind<LoadBoardProxy>(kLoadBoardName)),
       // Incarnation-seeded so a restarted producer's sequence still moves
       // forward past anything its previous life published.
       seq_(runtime.incarnation() << 20) {}
@@ -21,7 +21,7 @@ void LoadReporter::Start() {
     return;
   }
   Tick();
-  timer_.Start(executor_, options_.interval, [this] { Tick(); });
+  timer_.Start(executor_, interval_, [this] { Tick(); });
 }
 
 void LoadReporter::Stop() { timer_.Stop(); }
@@ -29,13 +29,7 @@ void LoadReporter::Stop() { timer_.Stop(); }
 void LoadReporter::Tick() {
   LoadReport report = sample_();
   report.reporter = reporter_;
-  if (report.seq == 0) {
-    // Samples may stamp their own sequence when they have an authoritative
-    // one (the MDS publishes its load_seq, which consumers reconcile
-    // optimistic deltas against); otherwise the reporter's counter orders
-    // the reports.
-    report.seq = ++seq_;
-  }
+  report.seq = ++seq_;
   ++reports_sent_;
   if (metrics_ != nullptr) {
     metrics_->Add("load.report_sent");

@@ -1,9 +1,10 @@
 // LoadReporter: the producer half of the load board. Owned (indirectly) by a
 // ServiceLifecycle — started on promotion, stopped on demotion — it samples
 // the service's load on a timer, stamps the reporter path and a monotonic
-// sequence, and fire-and-forgets the report at the board's primary through
-// its own Binding (rebind/backoff like any client). Reports are pure soft
-// state: a lost one just leaves the previous entry to age until the next.
+// sequence, and fire-and-forgets the report at the board (kLoadBoardName)
+// through its own binding (rebind/backoff like any client). Reports are pure
+// soft state: a lost one just leaves the previous entry to age until the
+// next.
 
 #ifndef SRC_LOAD_REPORTER_H_
 #define SRC_LOAD_REPORTER_H_
@@ -21,18 +22,12 @@ namespace itv::load {
 
 class LoadReporter {
  public:
-  struct Options {
-    Duration interval = Duration::Seconds(2);
-    std::string board_path = std::string(kLoadBoardName);
-  };
-  // Fills everything but `reporter`. `seq` may be left 0 (the reporter then
-  // stamps its own monotonic counter) or set to the service's authoritative
-  // load sequence (e.g. MdsLoad::seq).
+  // Fills everything but `reporter` and `seq`, which the reporter stamps.
   using SampleFn = std::function<LoadReport()>;
 
   LoadReporter(rpc::ObjectRuntime& runtime, Executor& executor,
                rpc::PathResolver resolver, std::string reporter,
-               Options options, SampleFn sample, Metrics* metrics = nullptr);
+               Duration interval, SampleFn sample, Metrics* metrics = nullptr);
 
   // Idempotent; Start also publishes one report immediately so a freshly
   // promoted primary appears on the board without waiting out an interval.
@@ -47,7 +42,7 @@ class LoadReporter {
 
   Executor& executor_;
   std::string reporter_;
-  Options options_;
+  Duration interval_;
   SampleFn sample_;
   Metrics* metrics_;
   rpc::BindingTable bindings_;

@@ -227,14 +227,6 @@ void CmgrService::ReclaimUnclaimed(
   }
 }
 
-int64_t CmgrService::TotalReservedBps() const {
-  int64_t total = 0;
-  for (const auto& [id, grant] : connections_) {
-    total += grant.downstream_bps;
-  }
-  return total;
-}
-
 int64_t CmgrService::SettopReservedBps(uint32_t settop_host) const {
   int64_t total = 0;
   for (const auto& [id, grant] : connections_) {

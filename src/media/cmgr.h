@@ -256,10 +256,6 @@ class CmgrService : public rpc::Skeleton {
     return lifecycle_ != nullptr && lifecycle_->is_primary();
   }
   wire::ObjectRef ref() const { return ref_; }
-  size_t active_connections() const { return connections_.size(); }
-  // Downstream bandwidth reserved across every live grant this shard holds
-  // (the figure its load-board sample publishes).
-  int64_t TotalReservedBps() const;
   int64_t SettopReservedBps(uint32_t settop_host) const;
   uint32_t SettopConnectionCount(uint32_t settop_host) const;
   AccountingRecord AccountingFor(uint32_t settop_host) const;

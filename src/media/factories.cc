@@ -79,23 +79,7 @@ void RegisterMediaServices(svc::ClusterHarness& harness,
         ctx.process.runtime(), ctx.process.executor(), std::move(library), opts,
         ctx.metrics);
     wire::ObjectRef ref = mds->Export();
-    svc::ServiceLifecycle::Hooks hooks;
-    if (deployment.load_board) {
-      // Publish this replica's load to the board, carrying the MDS's own
-      // load sequence so MMS consumers can reconcile optimistic deltas.
-      hooks.load_sample = [mds] {
-        MdsLoad load = mds->CurrentLoad();
-        load::LoadReport report;
-        report.active_streams = load.active_streams;
-        report.reserved_bps = load.reserved_bps;
-        report.capacity_bps = load.capacity_bps;
-        report.seq = load.seq;
-        return report;
-      };
-      hooks.load_report_interval = deployment.load_report_interval;
-    }
-    PublishService(ctx, "svc/mds/" + std::to_string(index + 1), ref,
-                   std::move(hooks));
+    PublishService(ctx, "svc/mds/" + std::to_string(index + 1), ref);
   });
 
   // --- Cluster load board ---------------------------------------------------------
@@ -135,7 +119,7 @@ void RegisterMediaServices(svc::ClusterHarness& harness,
           host_opts.poll = deployment.shard_map_poll;
           auto* shard_host = ctx.process.Emplace<svc::ShardHost>(
               ctx, CmgrName(nb), host_opts,
-              [ctx, nb, deployment](uint32_t shard, const wire::ShardMap& map) {
+              [ctx, nb](uint32_t shard, const wire::ShardMap& map) {
                 CmgrService::Options opts;
                 opts.neighborhood = nb;
                 opts.shard_index = shard;
@@ -158,17 +142,6 @@ void RegisterMediaServices(svc::ClusterHarness& harness,
                 svc::ShardHost::Shard hosted;
                 hosted.ref = cmgr->ref();
                 hosted.hooks.on_promoted = [cmgr] { cmgr->OnPromoted(); };
-                if (deployment.load_board) {
-                  hosted.hooks.load_sample = [cmgr] {
-                    load::LoadReport report;
-                    report.active_streams =
-                        static_cast<uint32_t>(cmgr->active_connections());
-                    report.reserved_bps = cmgr->TotalReservedBps();
-                    return report;
-                  };
-                  hosted.hooks.load_report_interval =
-                      deployment.load_report_interval;
-                }
                 hosted.attach = [cmgr](svc::ServiceLifecycle* lifecycle) {
                   cmgr->AttachLifecycle(lifecycle);
                 };
@@ -228,9 +201,6 @@ void RegisterMediaServices(svc::ClusterHarness& harness,
           mms_opts.shard_map = map;
           if (mms_opts.admission.pool_bps == 0) {
             mms_opts.admission.pool_bps = mms_pool_bps;
-          }
-          if (deployment.load_board && mms_opts.load_board_path.empty()) {
-            mms_opts.load_board_path = std::string(load::kLoadBoardName);
           }
           auto* mms = ctx.process.Emplace<MmsService>(
               ctx.process.runtime(), ctx.process.executor(),

@@ -47,10 +47,10 @@ struct MediaDeployment {
 
   // --- Load board & admission (ROADMAP "Shard-aware admission") ---------------
   // Deploy the cluster load board (svc/loadboard, primary/backup on the
-  // first two servers) and wire every MDS replica and MMS/CMgr shard primary
-  // to publish load reports to it; the MMS then reads board snapshots
-  // instead of GetLoad-polling every replica, and settops retry shed opens
-  // against the least-loaded sibling shard.
+  // first two servers) and have every MMS shard primary publish its
+  // headroom to it, so settops configured with the board retry shed opens
+  // against the sibling shard with the most headroom. Off, a shed open just
+  // fails.
   bool load_board = true;
   Duration load_report_interval = Duration::Seconds(2);
   Duration load_board_ttl = Duration::Seconds(10);

@@ -182,6 +182,15 @@ MdsLoad MdsService::CurrentLoad() const {
   return load;
 }
 
+std::vector<SessionInfo> MdsService::DescribeSessions() const {
+  std::vector<SessionInfo> out;
+  out.reserve(sessions_.size());
+  for (const auto& [id, session] : sessions_) {
+    out.push_back(session->Describe());
+  }
+  return out;
+}
+
 void MdsService::ReclaimUnplayed() {
   Time now = executor_.Now();
   std::vector<uint64_t> ghosts;
@@ -217,18 +226,11 @@ void MdsService::Dispatch(uint32_t method_id, const wire::Bytes& args,
       }
       return rpc::ReplyWith(reply, *ticket);
     }
-    case kMdsMethodGetInventory:
-      return rpc::ReplyWith(reply, library_);
-    case kMdsMethodGetLoad:
-      return rpc::ReplyWith(reply, CurrentLoad());
-    case kMdsMethodListSessions: {
-      std::vector<SessionInfo> out;
-      out.reserve(sessions_.size());
-      for (const auto& [id, session] : sessions_) {
-        out.push_back(session->Describe());
-      }
-      return rpc::ReplyWith(reply, out);
-    }
+    case kMdsMethodSync:
+      return rpc::ReplyWith(
+          reply, MdsSync{library_, CurrentLoad(), DescribeSessions()});
+    case kMdsMethodListSessions:
+      return rpc::ReplyWith(reply, DescribeSessions());
     case kMdsMethodClose: {
       uint64_t stream_id = 0;
       if (!rpc::DecodeArgs(args, &stream_id)) {

@@ -28,10 +28,11 @@ namespace itv::media {
 inline constexpr std::string_view kMdsInterface = "itv.MediaDelivery";
 inline constexpr std::string_view kMovieInterface = "itv.Movie";
 
+// Id 3 (the retired standalone load read) stays unassigned: tools label
+// per-method traffic by id.
 enum MdsMethod : uint32_t {
   kMdsMethodOpen = 1,
-  kMdsMethodGetInventory = 2,
-  kMdsMethodGetLoad = 3,
+  kMdsMethodSync = 2,
   kMdsMethodListSessions = 4,
   kMdsMethodClose = 5,
 };
@@ -64,10 +65,7 @@ inline void WireRead(wire::Reader& r, MdsLoad* l) {
   l->active_streams = r.ReadU32();
   l->reserved_bps = r.ReadI64();
   l->capacity_bps = r.ReadI64();
-  // Trailing field, absent from pre-seq encoders. Safe only because MdsLoad
-  // is always decoded standalone (the GetLoad reply), never nested inside a
-  // larger message.
-  l->seq = r.remaining() > 0 ? r.ReadU64() : 0;
+  l->seq = r.ReadU64();
 }
 
 struct MovieTicket {
@@ -116,6 +114,27 @@ inline void WireRead(wire::Reader& r, SessionInfo* s) {
   WireRead(r, &s->movie);
 }
 
+// One replica's state as the MMS needs it (paper Figure 4 step 4 and
+// Section 10.1.1): what it can serve, how loaded it is, and which sessions it
+// holds, read in one reply so all three describe the same instant. Every
+// session listed is covered by `load.seq`.
+struct MdsSync {
+  std::vector<MovieInfo> titles;
+  MdsLoad load;
+  std::vector<SessionInfo> sessions;
+};
+
+inline void WireWrite(wire::Writer& w, const MdsSync& s) {
+  WireWrite(w, s.titles);
+  WireWrite(w, s.load);
+  WireWrite(w, s.sessions);
+}
+inline void WireRead(wire::Reader& r, MdsSync* s) {
+  WireRead(r, &s->titles);
+  WireRead(r, &s->load);
+  WireRead(r, &s->sessions);
+}
+
 class MdsProxy : public rpc::Proxy {
  public:
   using Proxy::Proxy;
@@ -125,13 +144,10 @@ class MdsProxy : public rpc::Proxy {
     return rpc::DecodeReply<MovieTicket>(Call(
         kMdsMethodOpen, rpc::EncodeArgs(title, settop_host, connection, sink)));
   }
-  Future<std::vector<MovieInfo>> GetInventory() const {
-    return rpc::DecodeReply<std::vector<MovieInfo>>(
-        Call(kMdsMethodGetInventory, {}));
+  Future<MdsSync> Sync(const rpc::CallOptions& options = {}) const {
+    return rpc::DecodeReply<MdsSync>(Call(kMdsMethodSync, {}, options));
   }
-  Future<MdsLoad> GetLoad() const {
-    return rpc::DecodeReply<MdsLoad>(Call(kMdsMethodGetLoad, {}));
-  }
+  // Sessions only: the connection manager's grant audit.
   Future<std::vector<SessionInfo>> ListSessions(
       const rpc::CallOptions& options = {}) const {
     return rpc::DecodeReply<std::vector<SessionInfo>>(
@@ -201,9 +217,6 @@ class MdsService : public rpc::Skeleton {
   size_t active_streams() const { return sessions_.size(); }
   int64_t reserved_bps() const { return reserved_bps_; }
   uint64_t load_seq() const { return load_seq_; }
-  // The load this replica would serve from GetLoad right now (also the
-  // sample its lifecycle publishes to the cluster load board).
-  MdsLoad CurrentLoad() const;
   const std::vector<MovieInfo>& library() const { return library_; }
 
  private:
@@ -213,6 +226,8 @@ class MdsService : public rpc::Skeleton {
                                  const ConnectionGrant& connection,
                                  const wire::ObjectRef& sink);
   void HandleClose(uint64_t stream_id);
+  MdsLoad CurrentLoad() const;
+  std::vector<SessionInfo> DescribeSessions() const;
   void ReclaimUnplayed();
   const MovieInfo* FindMovie(const std::string& title) const;
   void Count(std::string_view name);

@@ -31,30 +31,30 @@ void MmsService::Start() {
       runtime_, executor_, ras::RasRefAt(runtime_.local_endpoint().host),
       audit_opts);
 
-  RefreshMdsDirectory();
   refresh_timer_.Start(executor_, options_.mds_refresh_interval, [this] {
-    RefreshMdsDirectory();
-    if (is_primary()) {
-      // Sessions opened here by stale-map clients during a reshard cutover
-      // (wrong-shard opens) migrate to the owning shard on the next tick.
-      DrainMovedSessions();
-      // Re-adopt sessions the MDSes hold that this primary does not know
-      // about — opens whose ticket reply was lost mid-flight. Promotion-time
-      // recovery only covers orphans created before THIS tenure; these are
-      // created during it. Adoption registers the settop watch so a later
-      // settop death releases them; a live settop's never-played orphans are
-      // reclaimed by the MDS itself (MdsService::Options::unplayed_grace).
-      RebuildStateFromMds(/*register_watches=*/true, nullptr);
+    if (!is_primary()) {
+      return;  // Backups sync only from WarmStandby.
     }
+    // Sessions opened here by stale-map clients during a reshard cutover
+    // (wrong-shard opens) migrate to the owning shard on the next tick.
+    DrainMovedSessions();
+    // Besides refreshing titles, load and liveness, the round re-adopts
+    // sessions the MDSes hold that this primary does not know about — opens
+    // whose ticket reply was lost mid-flight. Promotion-time recovery only
+    // covers orphans created before THIS tenure; these are created during
+    // it. Adoption registers the settop watch so a later settop death
+    // releases them; a live settop's never-played orphans are reclaimed by
+    // the MDS itself (MdsService::Options::unplayed_grace).
+    SyncRound(/*register_watches=*/true, nullptr);
   });
 }
 
 void MmsService::RecoverState(std::function<void(Status)> done) {
-  RebuildStateFromMds(/*register_watches=*/true, std::move(done));
+  SyncRound(/*register_watches=*/true, std::move(done));
 }
 
 void MmsService::WarmStandby(std::function<void(Status)> done) {
-  RebuildStateFromMds(/*register_watches=*/false, std::move(done));
+  SyncRound(/*register_watches=*/false, std::move(done));
 }
 
 void MmsService::OnPromoted() {
@@ -91,7 +91,7 @@ void MmsService::AdoptShardMap(const wire::ShardMap& map) {
     // Pull sessions that moved TO this shard without waiting for the refresh
     // tick: their MDS streams are live and the source shard has already
     // stopped watching them.
-    RebuildStateFromMds(/*register_watches=*/true, nullptr);
+    SyncRound(/*register_watches=*/true, nullptr);
   }
 }
 
@@ -134,23 +134,21 @@ MdsLoad MmsService::MdsReplica::EffectiveLoad() const {
   return out;
 }
 
+bool MmsService::MdsReplica::ClosedAfter(uint64_t stream_id,
+                                         uint64_t seq) const {
+  return std::any_of(pending.begin(), pending.end(),
+                     [stream_id, seq](const LoadDelta& delta) {
+                       return delta.closed_stream == stream_id &&
+                              (delta.covered_seq == 0 || delta.covered_seq > seq);
+                     });
+}
+
 void MmsService::ApplyLoadSnapshot(MdsReplica& replica,
                                    const MdsLoad& snapshot) {
-  if (snapshot.seq < replica.load.seq) {
-    return;  // Stale: a fresher snapshot already landed (board/GetLoad race).
-  }
   replica.load = snapshot;
   std::erase_if(replica.pending, [&snapshot](const LoadDelta& delta) {
     return delta.covered_seq != 0 && delta.covered_seq <= snapshot.seq;
   });
-}
-
-bool MmsService::BoardFresh(const MdsReplica& replica) const {
-  if (options_.load_board_path.empty() || replica.board_seen == Time()) {
-    return false;
-  }
-  return executor_.Now() - replica.board_seen <=
-         options_.mds_refresh_interval * 2.0;
 }
 
 int64_t MmsService::BitrateOf(const std::string& title) const {
@@ -163,103 +161,80 @@ int64_t MmsService::BitrateOf(const std::string& title) const {
   return 0;
 }
 
-void MmsService::RefreshBoardLoads() {
-  bindings_.Bind<load::LoadBoardProxy>(options_.load_board_path)
-      .Call<std::vector<load::LoadReport>>(
-          [](const load::LoadBoardProxy& board) {
-            return board.Snapshot("svc/mds/");
-          },
-          [this](Result<std::vector<load::LoadReport>> reports) {
-            if (!reports.ok()) {
-              Count("mms.board_unreachable");
-              return;
+void MmsService::SyncRound(bool register_watches,
+                           std::function<void(Status)> done) {
+  name_client_.ListRepl("svc/mds").OnReady([this, register_watches, done](
+                                               const Result<naming::BindingList>&
+                                                   r) {
+    if (!r.ok()) {
+      if (done) {
+        done(r.status());
+      }
+      return;
+    }
+    std::vector<naming::Binding> replicas;
+    for (const naming::Binding& binding : *r) {
+      if (IsMdsReplica(binding)) {
+        replicas.push_back(binding);
+      }
+    }
+    if (replicas.empty()) {
+      if (done) {
+        done(OkStatus());
+      }
+      return;
+    }
+    // Completion fires once every replica has answered or timed out; an
+    // unreachable MDS is not alive and contributes no sessions (its streams
+    // died with it).
+    auto pending = std::make_shared<size_t>(replicas.size());
+    for (const naming::Binding& binding : replicas) {
+      MdsReplica& replica = mds_[binding.name];
+      if (replica.ref != binding.ref) {
+        // New incarnation bound (restart): nothing of the old one carries
+        // over — its load sequence, deltas and titles died with it.
+        replica = MdsReplica{};
+        replica.name = binding.name;
+        replica.ref = binding.ref;
+      }
+      rpc::CallOptions opts;
+      opts.timeout = options_.rpc_timeout;
+      MdsProxy(runtime_, binding.ref)
+          .Sync(opts)
+          .OnReady([this, name = binding.name, ref = binding.ref,
+                    register_watches, pending,
+                    done](const Result<MdsSync>& sync) {
+            auto it = mds_.find(name);
+            if (it != mds_.end() && it->second.ref == ref) {
+              if (sync.ok()) {
+                ApplySync(it->second, *sync, register_watches);
+              } else {
+                it->second.alive = false;
+              }
             }
-            Time now = executor_.Now();
-            for (const load::LoadReport& report : *reports) {
-              // Reporter paths are lifecycle paths ("svc/mds/<n>"); the
-              // directory keys replicas by binding name ("<n>").
-              size_t slash = report.reporter.rfind('/');
-              if (slash == std::string::npos) {
-                continue;
-              }
-              auto it = mds_.find(report.reporter.substr(slash + 1));
-              if (it == mds_.end()) {
-                continue;
-              }
-              MdsLoad snapshot;
-              snapshot.active_streams = report.active_streams;
-              snapshot.reserved_bps = report.reserved_bps;
-              snapshot.capacity_bps = report.capacity_bps;
-              snapshot.seq = report.seq;
-              ApplyLoadSnapshot(it->second, snapshot);
-              it->second.board_seen = now;
-              Count("mms.board_load_applied");
+            if (--*pending == 0 && done) {
+              done(OkStatus());
             }
           });
-}
-
-void MmsService::RefreshMdsDirectory() {
-  if (!options_.load_board_path.empty()) {
-    // One board snapshot replaces the per-replica GetLoad fan-out below;
-    // GetLoad stays as the fallback for replicas with no fresh board entry.
-    RefreshBoardLoads();
-  }
-  name_client_.ListRepl("svc/mds").OnReady(
-      [this](const Result<naming::BindingList>& r) {
-        if (!r.ok()) {
-          return;
-        }
-        for (const naming::Binding& binding : *r) {
-          if (!IsMdsReplica(binding)) {
-            continue;
-          }
-          MdsReplica& replica = mds_[binding.name];
-          replica.name = binding.name;
-          if (replica.ref != binding.ref) {
-            // New incarnation bound (restart): probe it afresh.
-            replica.ref = binding.ref;
-            replica.alive = false;
-          }
-          ProbeReplica(binding.name, binding.ref);
-        }
-      });
-}
-
-void MmsService::ProbeReplica(const std::string& name,
-                              const wire::ObjectRef& ref) {
-  MdsProxy mds(runtime_, ref);
-  mds.GetInventory().OnReady([this, name,
-                              ref](const Result<std::vector<MovieInfo>>& inv) {
-    auto it = mds_.find(name);
-    if (it == mds_.end() || it->second.ref != ref) {
-      return;
     }
-    if (!inv.ok()) {
-      it->second.alive = false;
-      return;
-    }
-    it->second.titles.clear();
-    for (const MovieInfo& movie : *inv) {
-      it->second.titles[movie.title] = movie;
-    }
-    if (BoardFresh(it->second)) {
-      it->second.alive = true;  // The board already delivered its load.
-      return;
-    }
-    MdsProxy mds(runtime_, ref);
-    mds.GetLoad().OnReady([this, name, ref](const Result<MdsLoad>& load) {
-      auto iter = mds_.find(name);
-      if (iter == mds_.end() || iter->second.ref != ref) {
-        return;
-      }
-      if (!load.ok()) {
-        iter->second.alive = false;
-        return;
-      }
-      ApplyLoadSnapshot(iter->second, *load);
-      iter->second.alive = true;
-    });
   });
+}
+
+void MmsService::ApplySync(MdsReplica& replica, const MdsSync& sync,
+                           bool register_watches) {
+  replica.alive = true;
+  if (sync.load.seq < replica.load.seq) {
+    // Overtaken by a newer reply (two rounds in flight): its load and
+    // sessions describe the past.
+    Count("mms.sync_stale");
+    return;
+  }
+  replica.titles.clear();
+  for (const MovieInfo& movie : sync.titles) {
+    replica.titles[movie.title] = movie;
+  }
+  ApplyLoadSnapshot(replica, sync.load);
+  AdoptSessions(replica, sync.sessions, sync.load.seq, register_watches);
 }
 
 std::vector<MmsService::MdsReplica*> MmsService::CandidatesFor(
@@ -431,6 +406,7 @@ void MmsService::FinishOpen(MdsReplica* replica, const std::string& title,
         session.mds_name = mds_name;
         session.mds_ref = mds_ref;
         session.stream_id = ticket->stream_id;
+        session.open_seq = ticket->load_seq;
         session.movie = ticket->movie;
         session.connection = grant;
         // Step 9-10: watch the settop through the RAS; reclaim on death.
@@ -497,37 +473,36 @@ void MmsService::ReclaimSession(uint64_t session_id, bool tell_mds) {
     // raced a load refresh (the refresh already included the close, then the
     // decrement landed on top). The delta starts unconfirmed (covered_seq 0);
     // the Close reply's post-close sequence tags it so the next covering
-    // snapshot retires it.
-    uint64_t delta_id = 0;
+    // snapshot retires it. Until then it also keeps a sync reply written
+    // before the close from re-adopting the stream.
+    uint64_t stream_id = session.stream_id;
     auto replica = mds_.find(session.mds_name);
     if (replica != mds_.end() && replica->second.ref == session.mds_ref) {
       auto movie = replica->second.titles.find(session.title);
-      if (movie != replica->second.titles.end()) {
-        LoadDelta delta;
-        delta.id = delta_id = ++next_delta_id_;
-        delta.bps = -movie->second.bitrate_bps;
-        delta.streams = -1;
-        replica->second.pending.push_back(delta);
-      }
+      LoadDelta delta;
+      delta.bps = movie == replica->second.titles.end()
+                      ? 0
+                      : -movie->second.bitrate_bps;
+      delta.streams = -1;
+      delta.closed_stream = stream_id;
+      replica->second.pending.push_back(delta);
     }
     // "it tells the MDS to deallocate movie resources" (Section 3.4.5).
     MdsProxy mds(runtime_, session.mds_ref);
     std::string mds_name = session.mds_name;
     wire::ObjectRef mds_ref = session.mds_ref;
-    mds.Close(session.stream_id)
+    mds.Close(stream_id)
         .OnReady([this, mds_name, mds_ref,
-                  delta_id](const Result<uint64_t>& seq) {
-          if (delta_id == 0) {
-            return;
-          }
+                  stream_id](const Result<uint64_t>& seq) {
           auto it = mds_.find(mds_name);
           if (it == mds_.end() || it->second.ref != mds_ref) {
             return;  // Replica entry rebuilt; the delta died with it.
           }
           auto& pending = it->second.pending;
           auto delta = std::find_if(
-              pending.begin(), pending.end(),
-              [delta_id](const LoadDelta& d) { return d.id == delta_id; });
+              pending.begin(), pending.end(), [stream_id](const LoadDelta& d) {
+                return d.closed_stream == stream_id;
+              });
           if (delta == pending.end()) {
             return;
           }
@@ -568,79 +543,51 @@ void MmsService::OnSettopDead(uint32_t settop_host) {
   }
 }
 
-// --- Fail-over state rebuild ----------------------------------------------------
+// --- Session adoption ---------------------------------------------------------
 
-void MmsService::RebuildStateFromMds(bool register_watches,
-                                     std::function<void(Status)> done) {
-  name_client_.ListRepl("svc/mds").OnReady([this, register_watches, done](
-                                               const Result<naming::BindingList>&
-                                                   r) {
-    if (!r.ok()) {
-      if (done) {
-        done(r.status());
-      }
-      return;
-    }
-    std::vector<naming::Binding> replicas;
-    for (const naming::Binding& binding : *r) {
-      if (IsMdsReplica(binding)) {
-        replicas.push_back(binding);
-      }
-    }
-    if (replicas.empty()) {
-      if (done) {
-        done(OkStatus());
-      }
-      return;
-    }
-    // Completion fires once every replica has answered or timed out; an
-    // unreachable MDS contributes no sessions (its streams died with it).
-    auto pending = std::make_shared<size_t>(replicas.size());
-    for (const naming::Binding& binding : replicas) {
-      MdsProxy mds(runtime_, binding.ref);
-      rpc::CallOptions opts;
-      opts.timeout = options_.rpc_timeout;
-      std::string name = binding.name;
-      wire::ObjectRef ref = binding.ref;
-      mds.ListSessions(opts).OnReady(
-          [this, name, ref, register_watches, pending,
-           done](const Result<std::vector<SessionInfo>>& sessions) {
-            if (sessions.ok()) {
-              AdoptSessions(name, ref, *sessions, register_watches);
-            }
-            if (--*pending == 0 && done) {
-              done(OkStatus());
-            }
-          });
-    }
-  });
-}
-
-void MmsService::AdoptSessions(const std::string& mds_name,
-                               const wire::ObjectRef& mds_ref,
+void MmsService::AdoptSessions(const MdsReplica& replica,
                                const std::vector<SessionInfo>& sessions,
-                               bool register_watches) {
+                               uint64_t sessions_seq, bool register_watches) {
+  const std::string& mds_name = replica.name;
+  const wire::ObjectRef& mds_ref = replica.ref;
   std::set<uint64_t> reported;
   for (const SessionInfo& info : sessions) {
     reported.insert(info.stream_id);
   }
-  // Drop passive (pre-warmed) records this MDS no longer reports — the
-  // session closed while we were a backup. Watched sessions are never dropped
-  // here; the primary's own close/reclaim paths own those.
+  // Drop sessions whose stream this MDS no longer holds although the reply
+  // is at least as new as the stream: it closed through another shard (a
+  // sibling-opened session closed before its handoff), the MDS reclaimed it,
+  // or the MDS restarted. A passive (pre-warmed) record just leaves the
+  // table; a watched one is reclaimed, which releases its connection.
+  std::vector<uint64_t> gone;
   for (auto it = sessions_.begin(); it != sessions_.end();) {
-    if (it->second.mds_name == mds_name && it->second.watch == 0 &&
-        reported.count(it->second.stream_id) == 0) {
-      admission_.Release(it->second.connection.downstream_bps);
+    const Session& session = it->second;
+    if (session.mds_name != mds_name || session.open_seq > sessions_seq ||
+        reported.count(session.stream_id) > 0) {
+      ++it;
+    } else if (session.watch != 0) {
+      gone.push_back(it->first);
+      ++it;
+    } else {
+      admission_.Release(session.connection.downstream_bps);
       it = sessions_.erase(it);
       Count("mms.session_stale_pruned");
-    } else {
-      ++it;
     }
+  }
+  for (uint64_t id : gone) {
+    ReclaimSession(id, /*tell_mds=*/false);
+    Count("mms.session_gone_reclaimed");
   }
   for (const SessionInfo& info : sessions) {
     if (!OwnsSettop(info.settop_host)) {
       // Another shard's primary owns this settop's sessions; adopting it
       // here would double-watch (and double-reclaim) across shards.
+      continue;
+    }
+    if (replica.ClosedAfter(info.stream_id, sessions_seq)) {
+      // We closed it after the MDS wrote this reply; re-adopting it would
+      // leave a session whose settop watch never fires.
+      Count("mms.session_closing_skipped");
       continue;
     }
     Session* existing = nullptr;
@@ -673,6 +620,7 @@ void MmsService::AdoptSessions(const std::string& mds_name,
     session.stream_id = info.stream_id;
     session.movie = info.movie;
     session.connection = info.connection;
+    session.open_seq = sessions_seq;
     // Admitted elsewhere (a previous primary's tenure or another shard);
     // its stream is live, so account it without re-judging the pool.
     admission_.Adopt(info.connection.downstream_bps);

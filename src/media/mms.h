@@ -7,18 +7,27 @@
 //   5-7. opens the movie on the chosen MDS and returns the movie object,
 //   9-10. polls the RAS about the settop and reclaims everything if it dies.
 //
+// Everything the MMS knows about the MDS replicas comes from one sync round:
+// one ListRepl("svc/mds") plus one MdsProxy::Sync per replica, whose reply
+// carries the replica's titles, its load (with the load sequence) and its
+// sessions. A replica that answers is alive; the round refreshes its
+// directory entry, reconciles its load and adopts its sessions. The primary
+// runs a round every refresh tick; backups run one only from the lifecycle
+// hooks below.
+//
 // Replication: primary/backup (Section 5.2) with NO replicated state — "the
 // volatile state of the MMS can be reconstructed by querying each MDS in the
 // cluster and by querying the Connection Manager" (Section 10.1.1). The
-// launcher's ServiceLifecycle drives this: RecoverState runs on winning the
-// binding (before the role turns primary) and registers RAS watches;
-// WarmStandby periodically pre-adopts sessions passively (no watches) while
+// launcher's ServiceLifecycle drives this: RecoverState runs a round on
+// winning the binding (before the role turns primary) and registers RAS
+// watches; WarmStandby periodically runs a passive round (no watches) while
 // backup, so promotion only has to diff against a warm table instead of
 // rebuilding from scratch.
 //
 // MDS replica health (Section 3.5.2): "Once an attempt to open a movie from
 // an MDS replica fails, the MMS assumes that the replica is dead. The MMS
-// will periodically re-resolve and retry the MDS object reference."
+// will periodically re-resolve and retry the MDS object reference." A
+// rebindable Open error marks the replica dead until a round hears from it.
 
 #ifndef SRC_MEDIA_MMS_H_
 #define SRC_MEDIA_MMS_H_
@@ -122,8 +131,6 @@ class MmsService : public rpc::Skeleton {
     // settops that hold open movies.
     Duration ras_poll_interval = Duration::Seconds(10);
     Duration rpc_timeout = Duration::Seconds(2);
-    // Re-probe an MDS replica marked dead (Section 3.5.2).
-    Duration mds_retry_interval = Duration::Seconds(10);
     // Shard this instance serves. With a sharded map, fail-over adoption
     // only claims sessions whose settop hashes to this shard — the other
     // shards' primaries own the rest (ROADMAP "Service resharding"). The
@@ -132,11 +139,6 @@ class MmsService : public rpc::Skeleton {
     // AdoptShardMap below.
     uint32_t shard_index = 0;
     wire::ShardMap shard_map;
-    // Cluster load board (ROADMAP "Shard-aware admission"): when set, the
-    // MDS refresh reads one board snapshot per tick instead of fanning a
-    // GetLoad out to every replica; GetLoad remains the fallback for
-    // replicas the board has no fresh entry for. Empty = classic polling.
-    std::string load_board_path;
     // Per-shard grant budget. pool_bps 0 (the default) disables shard-level
     // admission; the MDS capacity check then remains the only gate.
     load::AdmissionController::Options admission;
@@ -147,17 +149,17 @@ class MmsService : public rpc::Skeleton {
              Metrics* metrics = nullptr);
   ~MmsService();
 
-  // Exports the MMS object and starts the MDS directory refresh. Election is
-  // owned by the launcher's ServiceLifecycle, which drives the hooks below.
+  // Exports the MMS object and starts the refresh tick, which runs a sync
+  // round while primary. Election is owned by the launcher's
+  // ServiceLifecycle, which drives the hooks below.
   void Start();
 
-  // Lifecycle hooks. RecoverState rebuilds the session table from every MDS
-  // replica and registers RAS watches; `done` fires when all replicas have
-  // answered (or failed). WarmStandby does the same adoption passively — no
-  // watches, and sessions an MDS no longer reports are dropped — keeping the
-  // backup's table fresh. OnDemotedRole cancels every watch but keeps the
-  // table as warm state (a demoted replica must not reclaim sessions the new
-  // primary owns).
+  // Lifecycle hooks. RecoverState runs a sync round that registers RAS
+  // watches; `done` fires when every replica has answered (or failed).
+  // WarmStandby runs the same round passively — no watches, and sessions an
+  // MDS no longer reports are dropped — keeping the backup's table fresh.
+  // OnDemotedRole cancels every watch but keeps the table as warm state (a
+  // demoted replica must not reclaim sessions the new primary owns).
   void RecoverState(std::function<void(Status)> done);
   void WarmStandby(std::function<void(Status)> done);
   void OnPromoted();
@@ -198,7 +200,9 @@ class MmsService : public rpc::Skeleton {
     uint64_t covered_seq = 0;
     int64_t bps = 0;
     int32_t streams = 0;
-    uint64_t id = 0;  // Tags unconfirmed close deltas until the reply lands.
+    // The closed stream, on close deltas (0 on opens). A sync reply older
+    // than the close still lists it; the round must not re-adopt it.
+    uint64_t closed_stream = 0;
   };
 
   struct MdsReplica {
@@ -206,15 +210,17 @@ class MmsService : public rpc::Skeleton {
     wire::ObjectRef ref;
     bool alive = false;
     std::map<std::string, MovieInfo> titles;
-    // Last authoritative snapshot (board report or GetLoad reply), plus the
-    // optimistic deltas not yet covered by it. The old single-field scheme
-    // (blind += / -= against whatever snapshot last landed) double-counted
-    // whenever a close raced a refresh; sequence reconciliation replaces it.
+    // Last authoritative snapshot (from a Sync reply), plus the optimistic
+    // deltas not yet covered by it. The old single-field scheme (blind += /
+    // -= against whatever snapshot last landed) double-counted whenever a
+    // close raced a refresh; sequence reconciliation replaces it.
     MdsLoad load;
     std::vector<LoadDelta> pending;
-    Time board_seen{};  // When a board-sourced snapshot last applied.
 
     MdsLoad EffectiveLoad() const;
+    // Whether a Sync reply covering load sequence `seq` predates our close
+    // of `stream_id` (close reply not back yet, or confirmed past `seq`).
+    bool ClosedAfter(uint64_t stream_id, uint64_t seq) const;
   };
 
   struct Session {
@@ -227,17 +233,21 @@ class MmsService : public rpc::Skeleton {
     wire::ObjectRef mds_ref;
     ConnectionGrant connection;
     ras::AuditClient::WatchId watch = 0;
+    // An MDS load sequence at which the stream was open: a sync reply at or
+    // past it that does not list the stream proves the stream is gone.
+    uint64_t open_seq = 0;
   };
 
-  void RefreshMdsDirectory();
-  void RefreshBoardLoads();
-  void ProbeReplica(const std::string& name, const wire::ObjectRef& ref);
-  // Adopts an authoritative load snapshot if it is at least as recent as the
-  // one we hold, and retires every pending delta it covers.
+  // One sync round (see the header comment): `done` (optional) fires once
+  // every replica has answered or failed.
+  void SyncRound(bool register_watches, std::function<void(Status)> done);
+  // Marks the replica alive and, unless a newer reply already landed,
+  // refreshes its titles, load and sessions from `sync`.
+  void ApplySync(MdsReplica& replica, const MdsSync& sync,
+                 bool register_watches);
+  // Adopts an authoritative load snapshot and retires every pending delta it
+  // covers.
   void ApplyLoadSnapshot(MdsReplica& replica, const MdsLoad& snapshot);
-  // Whether the board delivered a snapshot for this replica recently enough
-  // that the per-replica GetLoad poll can be skipped.
-  bool BoardFresh(const MdsReplica& replica) const;
   // Bitrate of `title` per the freshest live inventory, or 0 if unknown.
   int64_t BitrateOf(const std::string& title) const;
   // Candidates able to serve `title` now, best (least loaded) first.
@@ -259,11 +269,9 @@ class MmsService : public rpc::Skeleton {
   void HandleClose(const wire::ObjectRef& movie, rpc::ReplyFn reply);
   void ReclaimSession(uint64_t session_id, bool tell_mds);
   void OnSettopDead(uint32_t settop_host);
-  void RebuildStateFromMds(bool register_watches,
-                           std::function<void(Status)> done);
-  void AdoptSessions(const std::string& mds_name, const wire::ObjectRef& mds_ref,
+  void AdoptSessions(const MdsReplica& replica,
                      const std::vector<SessionInfo>& sessions,
-                     bool register_watches);
+                     uint64_t sessions_seq, bool register_watches);
 
   // Drops every session this shard no longer owns under the current map
   // (watch removed, table entry erased, MDS stream and grant untouched).
@@ -295,7 +303,6 @@ class MmsService : public rpc::Skeleton {
   // Per-shard grant budget (disabled unless Options::admission.pool_bps set).
   load::AdmissionController admission_;
   uint64_t next_session_id_;
-  uint64_t next_delta_id_ = 0;
   PeriodicTimer refresh_timer_;
 };
 

@@ -293,8 +293,7 @@ void TcpTransport::ConsumeFrames(Connection* conn) {
     offset += 4 + frame_len;
 
     wire::Message msg;
-    // Consuming decode: the payload is moved out of `body`, not copied.
-    if (!wire::DecodeMessage(std::move(body), &msg)) {
+    if (!wire::DecodeMessage(body, &msg)) {
       ITV_LOG(Warn) << "tcp: malformed frame dropped";
       continue;
     }

@@ -243,14 +243,9 @@ void ServiceLifecycle::StartLoadReporter() {
     return;
   }
   if (load_reporter_ == nullptr) {
-    load::LoadReporter::Options opts;
-    opts.interval = hooks_.load_report_interval;
-    if (!hooks_.load_board_path.empty()) {
-      opts.board_path = hooks_.load_board_path;
-    }
     load_reporter_ = std::make_unique<load::LoadReporter>(
-        process_.runtime(), executor(), client_.PathResolverFn(), path_, opts,
-        hooks_.load_sample, metrics_);
+        process_.runtime(), executor(), client_.PathResolverFn(), path_,
+        hooks_.load_report_interval, hooks_.load_sample, metrics_);
   }
   load_reporter_->Start();
 }

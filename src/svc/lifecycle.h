@@ -104,7 +104,6 @@ class ServiceLifecycle {
     // replica that owns the name.
     std::function<load::LoadReport()> load_sample;
     Duration load_report_interval = Duration::Seconds(2);
-    std::string load_board_path;  // Empty = load::kLoadBoardName.
   };
 
   // `path` is the service name to contest (or, in external_role mode, the

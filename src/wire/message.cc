@@ -1,38 +1,11 @@
 #include "src/wire/message.h"
 
-#include <cstring>
-
 #include "src/common/strings.h"
 
 namespace itv::wire {
 
 namespace {
 constexpr uint32_t kMagic = 0x4f435331;  // "OCS1"
-
-// Decodes every field up to (not including) the trailing payload. The payload
-// is handled by the two DecodeMessage overloads: the copying one reads it in
-// place, the consuming one moves it out of the wire buffer.
-bool DecodeHeader(Reader& r, Message* out) {
-  if (r.ReadU32() != kMagic) {
-    return false;
-  }
-  out->kind = static_cast<MsgKind>(r.ReadU8());
-  out->call_id = r.ReadU64();
-  out->object_id = r.ReadU64();
-  out->type_id = r.ReadU64();
-  out->method_id = r.ReadU32();
-  out->target_incarnation = r.ReadU64();
-  out->trace_id = r.ReadU64();
-  out->span_id = r.ReadU64();
-  out->status = static_cast<StatusCode>(r.ReadU8());
-  out->status_message = r.ReadString();
-  out->auth.principal = r.ReadString();
-  out->auth.ticket_id = r.ReadU64();
-  out->auth.ticket_blob = r.ReadBytes();
-  out->auth.signature = r.ReadBytes();
-  out->auth.encrypted = r.ReadBool();
-  return r.ok();
-}
 }  // namespace
 
 Bytes Message::SignedPortion() const {
@@ -91,28 +64,26 @@ Bytes EncodeMessage(const Message& m) {
 
 bool DecodeMessage(const Bytes& b, Message* out) {
   Reader r(b);
-  if (!DecodeHeader(r, out)) {
+  if (r.ReadU32() != kMagic) {
     return false;
   }
+  out->kind = static_cast<MsgKind>(r.ReadU8());
+  out->call_id = r.ReadU64();
+  out->object_id = r.ReadU64();
+  out->type_id = r.ReadU64();
+  out->method_id = r.ReadU32();
+  out->target_incarnation = r.ReadU64();
+  out->trace_id = r.ReadU64();
+  out->span_id = r.ReadU64();
+  out->status = static_cast<StatusCode>(r.ReadU8());
+  out->status_message = r.ReadString();
+  out->auth.principal = r.ReadString();
+  out->auth.ticket_id = r.ReadU64();
+  out->auth.ticket_blob = r.ReadBytes();
+  out->auth.signature = r.ReadBytes();
+  out->auth.encrypted = r.ReadBool();
   out->payload = r.ReadBytes();
   return r.ok() && r.remaining() == 0;
-}
-
-bool DecodeMessage(Bytes&& b, Message* out) {
-  Reader r(b);
-  if (!DecodeHeader(r, out)) {
-    return false;
-  }
-  uint32_t n = r.ReadU32();
-  // The payload is the last field, so its length must account for every
-  // remaining byte (trailing garbage fails, as in the copying overload).
-  if (!r.ok() || n != r.remaining()) {
-    return false;
-  }
-  std::memmove(b.data(), b.data() + r.position(), n);
-  b.resize(n);
-  out->payload = std::move(b);
-  return true;
 }
 
 }  // namespace itv::wire

@@ -125,14 +125,10 @@ struct Message {
 //
 // EncodeMessageTo appends into an existing Writer (e.g. a connection's output
 // buffer, after the frame length) so the TCP path serializes straight into
-// the socket buffer. The rvalue DecodeMessage overload consumes the wire
-// buffer: the payload — serialized last for exactly this reason — is moved
-// out of it (memmove to front + shrink) instead of copied, so a 64 KiB block
-// read costs no allocation to decode.
+// the socket buffer.
 Bytes EncodeMessage(const Message& m);
 void EncodeMessageTo(const Message& m, Writer& w);
 bool DecodeMessage(const Bytes& b, Message* out);
-bool DecodeMessage(Bytes&& b, Message* out);
 
 }  // namespace itv::wire
 

@@ -119,10 +119,10 @@ TEST_P(ChaosTest, ClusterConvergesAfterRandomServiceKills) {
     if (!ref.is_ready() || !ref.result().ok()) {
       continue;  // Replica mid-restart; its streams died with it.
     }
-    auto load = media::MdsProxy(probe.runtime(), ref.result().value()).GetLoad();
+    auto sync = media::MdsProxy(probe.runtime(), ref.result().value()).Sync();
     cluster().RunFor(Duration::Seconds(2));
-    if (load.is_ready() && load.result().ok()) {
-      total_streams += load.result()->active_streams;
+    if (sync.is_ready() && sync.result().ok()) {
+      total_streams += sync.result()->load.active_streams;
     }
   }
   EXPECT_EQ(total_streams, 0u);

@@ -224,7 +224,9 @@ TEST_F(LoadBoardTest, RejectsEmptyReporter) {
 
 // ---------------------------------------------------------------------------
 // End to end: a booted media deployment feeds the board through the
-// ServiceLifecycle reporters of its MDS replicas and MMS/CMgr primaries.
+// ServiceLifecycle reporters of its MMS shard primaries, and through nothing
+// else (the MMS reads MDS load from its sync round, and no one reads CMgr
+// load).
 
 TEST(LoadBoardIntegrationTest, MediaDeploymentPopulatesBoard) {
   svc::HarnessOptions harness_options;
@@ -244,23 +246,20 @@ TEST(LoadBoardIntegrationTest, MediaDeploymentPopulatesBoard) {
 
   LoadBoardProxy board(probe.runtime(), ref.result().value());
   auto all = board.Snapshot("");
-  auto mds_only = board.Snapshot("svc/mds/");
   harness.cluster().RunFor(Duration::Seconds(1));
   ASSERT_TRUE(all.is_ready() && all.result().ok());
-  ASSERT_TRUE(mds_only.is_ready() && mds_only.result().ok());
 
-  // Both MDS replicas report, and the MMS primary's report carries its
-  // admission-pool capacity view.
-  EXPECT_EQ(mds_only.result().value().size(), 2u);
-  bool saw_mms = false;
+  size_t mms_reports = 0;
   for (const LoadReport& report : all.result().value()) {
-    if (report.reporter.rfind("svc/mms", 0) == 0) {
-      saw_mms = true;
-    }
+    EXPECT_EQ(report.reporter.rfind("svc/mds/", 0), std::string::npos)
+        << report.reporter;
+    EXPECT_EQ(report.reporter.rfind("svc/cmgr/", 0), std::string::npos)
+        << report.reporter;
+    mms_reports += report.reporter.rfind("svc/mms", 0) == 0;
     EXPECT_GT(report.seq, 0u);
   }
-  EXPECT_TRUE(saw_mms);
-  EXPECT_GT(all.result().value().size(), mds_only.result().value().size());
+  EXPECT_EQ(mms_reports, 1u);  // The unsharded MMS's one primary.
+  EXPECT_EQ(mms_reports, all.result().value().size());
 }
 
 }  // namespace

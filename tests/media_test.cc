@@ -3,11 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "src/media/factories.h"
+#include "src/naming/stubs.h"
 #include "src/settop/app_manager.h"
 #include "src/settop/vod_app.h"
 #include "src/svc/harness.h"
@@ -100,12 +103,15 @@ class MediaTest : public ::testing::Test {
     if (!ref.is_ready() || !ref.result().ok()) {
       return NotFoundError("mds not resolvable");
     }
-    auto load = MdsProxy(client.runtime(), ref.result().value()).GetLoad();
+    auto sync = MdsProxy(client.runtime(), ref.result().value()).Sync();
     cluster().RunFor(Duration::Seconds(1));
-    if (!load.is_ready()) {
-      return DeadlineExceededError("no load reply");
+    if (!sync.is_ready()) {
+      return DeadlineExceededError("no sync reply");
     }
-    return load.result();
+    if (!sync.result().ok()) {
+      return sync.result().status();
+    }
+    return sync.result()->load;
   }
 
   svc::ClusterHarness harness_;
@@ -137,6 +143,69 @@ TEST_F(MediaTest, NoServiceProbesTheMdsSelector) {
   cluster().RunFor(Duration::Seconds(15));  // Three refresh ticks.
   cluster().network().SetTap(nullptr);
   EXPECT_EQ(null_requests, 0u);
+}
+
+TEST_F(MediaTest, MmsSyncsEachReplicaOncePerRound) {
+  // Titles, load and sessions of an MDS replica reach the MMS in one Sync
+  // request per round, after one ListRepl of svc/mds. The primary runs a
+  // round every refresh tick (5 s);
+  // the backup runs one only on its warm-standby pass (10 s). The load
+  // board hears from the MMS primary alone: no MDS or CMgr reports.
+  auto endpoints_of = [this](const std::string& name) {
+    std::vector<wire::Endpoint> out;
+    for (size_t i = 0; i < harness_.server_count(); ++i) {
+      if (sim::Process* p = harness_.server(i).FindProcessByName(name)) {
+        out.push_back(p->endpoint());
+      }
+    }
+    return out;
+  };
+  auto is_one_of = [](const std::vector<wire::Endpoint>& set,
+                      const wire::Endpoint& e) {
+    return std::find(set.begin(), set.end(), e) != set.end();
+  };
+  const std::vector<wire::Endpoint> mms = endpoints_of("mmsd");
+  const std::vector<wire::Endpoint> mds = endpoints_of("mdsd");
+  const std::vector<wire::Endpoint> board = endpoints_of("loadboardd");
+  std::vector<wire::Endpoint> board_silent = mds;
+  for (const char* name : {"cmgrd-1", "cmgrd-2"}) {
+    for (const wire::Endpoint& e : endpoints_of(name)) {
+      board_silent.push_back(e);
+    }
+  }
+  ASSERT_EQ(mms.size(), 2u);
+  ASSERT_EQ(mds.size(), 2u);
+  ASSERT_EQ(board.size(), 2u);
+  ASSERT_EQ(board_silent.size(), 6u);
+
+  const uint64_t naming_type =
+      wire::TypeIdFromName(naming::kNamingContextInterface);
+  std::vector<size_t> rounds(mms.size(), 0);
+  std::vector<size_t> mds_requests(mms.size(), 0);
+  size_t silent_reports = 0;
+  cluster().network().SetTap([&](const wire::Endpoint& src,
+                                 const wire::Endpoint& dst,
+                                 const wire::Message& msg) {
+    if (msg.kind != wire::MsgKind::kRequest) {
+      return;
+    }
+    for (size_t i = 0; i < mms.size(); ++i) {
+      rounds[i] += src == mms[i] && msg.type_id == naming_type &&
+                   msg.method_id == naming::kNcMethodListRepl;
+      mds_requests[i] += src == mms[i] && is_one_of(mds, dst);
+    }
+    silent_reports += is_one_of(board_silent, src) && is_one_of(board, dst);
+  });
+  cluster().RunFor(Duration::Seconds(30));
+  cluster().network().SetTap(nullptr);
+
+  std::sort(rounds.begin(), rounds.end());
+  std::sort(mds_requests.begin(), mds_requests.end());
+  EXPECT_EQ(rounds[0], 3u);  // Backup: 3 warm passes.
+  EXPECT_EQ(rounds[1], 6u);  // Primary: 6 ticks.
+  EXPECT_EQ(mds_requests[0], 3u * 2u);
+  EXPECT_EQ(mds_requests[1], 6u * 2u);
+  EXPECT_EQ(silent_reports, 0u);
 }
 
 TEST_F(MediaTest, SettopBootLearnsNameServiceAndHeartbeats) {
@@ -266,6 +335,39 @@ TEST_F(MediaTest, SettopBandwidthCapRejectsThirdStream) {
   ASSERT_TRUE(opens[2].is_ready());
   EXPECT_TRUE(IsResourceExhausted(opens[2].result().status()))
       << opens[2].result().status();
+}
+
+TEST_F(MediaTest, StreamClosedBehindTheMmsIsReclaimed) {
+  // A stream can close at the MDS without this MMS closing it: a sibling
+  // shard closes a session it opened before handing it off, or the MDS
+  // reclaims it. The next sync round finds the stream gone and reclaims the
+  // session, connection included.
+  TestSettop s = MakeSettop(1);
+  sim::Process& p = *s.process;
+  auto mms_ref = s.am->name_client().Resolve(std::string(kMmsName));
+  cluster().RunFor(Duration::Seconds(2));
+  ASSERT_TRUE(mms_ref.is_ready() && mms_ref.result().ok());
+  MmsProxy mms(p.runtime(), mms_ref.result().value());
+  auto ticket = mms.Open("T2", s.node->host(), wire::ObjectRef{});
+  cluster().RunFor(Duration::Seconds(2));
+  ASSERT_TRUE(ticket.is_ready() && ticket.result().ok());
+
+  size_t mds_index = ticket.result()->mds_host == harness_.HostOf(0) ? 1 : 2;
+  auto mds_ref = s.am->name_client().Resolve("svc/mds/" +
+                                             std::to_string(mds_index));
+  cluster().RunFor(Duration::Seconds(2));
+  ASSERT_TRUE(mds_ref.is_ready() && mds_ref.result().ok());
+  auto closed = MdsProxy(p.runtime(), mds_ref.result().value())
+                    .Close(ticket.result()->stream_id);
+  uint64_t released = metrics().Get("cmgr.released");
+  cluster().RunFor(Duration::Seconds(6));  // One refresh tick.
+  ASSERT_TRUE(closed.is_ready() && closed.result().ok());
+
+  auto left = mms.ListSessions();
+  cluster().RunFor(Duration::Seconds(1));
+  ASSERT_TRUE(left.is_ready() && left.result().ok());
+  EXPECT_EQ(*left.result(), 0u);
+  EXPECT_EQ(metrics().Get("cmgr.released"), released + 1);
 }
 
 TEST_F(MediaTest, ConnectionCountLimitContainsBuggyClient) {
@@ -740,6 +842,78 @@ TEST(MdsUnplayedReclaimTest, ReclaimsNeverPlayedStreamOnly) {
       << live.result().status();
   ASSERT_TRUE(gone.is_ready());
   EXPECT_FALSE(gone.result().ok());
+}
+
+class MediaSurfTest : public MediaTest {
+ protected:
+  MediaSurfTest() : MediaTest(SurfDeployment()) {}
+
+  static MediaDeployment SurfDeployment() {
+    MediaDeployment deploy = DefaultDeployment();
+    deploy.mds_capacity_bps = 400'000'000;
+    // Frequent rounds: more closes land while a sync reply is in flight.
+    deploy.mms.mds_refresh_interval = Duration::Millis(500);
+    return deploy;
+  }
+};
+
+TEST_F(MediaSurfTest, SurfingLeavesNoSessionsBehind) {
+  // Viewers change channel every 0.3-1.5 s while the MMS primary runs a
+  // sync round every 0.5 s, so closes keep landing while a reply the MDS
+  // wrote before the close is still in flight. The round must not re-adopt
+  // such a stream: its settop stays alive, so the adopted session's watch
+  // would never fire and the session would outlive every viewer.
+  Rng rng(7);
+  std::vector<settop::VodApp*> viewers;
+  for (int i = 0; i < 32; ++i) {
+    sim::Node& settop = harness_.AddSettop(static_cast<uint8_t>(1 + i % 2));
+    sim::Process& p = settop.Spawn("viewer");
+    viewers.push_back(p.Emplace<settop::VodApp>(
+        p.runtime(), p.executor(), harness_.ClientFor(p),
+        settop::VodApp::Options(), &metrics()));
+  }
+  bool surfing = true;
+  std::function<void(size_t)> dwell = [&](size_t i) {
+    cluster().scheduler().ScheduleAfter(
+        Duration::Millis(300 + static_cast<int64_t>(rng.Below(1200))),
+        [&, i] {
+          if (!surfing) {
+            return;
+          }
+          if (viewers[i]->playing()) {
+            viewers[i]->Stop();
+            viewers[i]->PlayMovie(rng.Below(2) == 0 ? "T2" : "solo",
+                                  [](Status) {});
+          }
+          dwell(i);
+        });
+  };
+  for (size_t i = 0; i < viewers.size(); ++i) {
+    viewers[i]->PlayMovie("T2", [](Status) {});
+    dwell(i);
+  }
+  cluster().RunFor(Duration::Seconds(120));
+  surfing = false;
+  for (settop::VodApp* vod : viewers) {
+    vod->Stop();
+  }
+  cluster().RunFor(Duration::Seconds(30));
+
+  sim::Process& probe = harness_.SpawnProcessOn(0, "probe");
+  auto ref = harness_.ClientFor(probe).Resolve(std::string(kMmsName));
+  cluster().RunFor(Duration::Seconds(2));
+  ASSERT_TRUE(ref.is_ready() && ref.result().ok());
+  auto left = MmsProxy(probe.runtime(), ref.result().value()).ListSessions();
+  cluster().RunFor(Duration::Seconds(1));
+  ASSERT_TRUE(left.is_ready() && left.result().ok());
+  EXPECT_EQ(*left.result(), 0u);
+  auto load1 = LoadOfMds(0);
+  auto load2 = LoadOfMds(1);
+  ASSERT_TRUE(load1.ok() && load2.ok());
+  EXPECT_EQ(load1->active_streams + load2->active_streams, 0u);
+  // The race did happen: the fix had closes to keep from re-adoption.
+  EXPECT_GT(metrics().Get("vod.stopped"), 1000u);
+  EXPECT_GT(metrics().Get("mms.session_closing_skipped"), 0u);
 }
 
 }  // namespace

@@ -42,41 +42,55 @@ std::string RandomString(Rng& rng, size_t max_len) {
   return std::string(b.begin(), b.end());
 }
 
+wire::Message RandomMessage(Rng& rng) {
+  wire::Message m;
+  m.kind = static_cast<wire::MsgKind>(1 + rng.Below(3));
+  m.call_id = rng.Next();
+  m.object_id = rng.Next();
+  m.type_id = rng.Next();
+  m.method_id = static_cast<uint32_t>(rng.Next());
+  m.target_incarnation = rng.Next();
+  m.status = static_cast<StatusCode>(rng.Below(15));
+  m.status_message = RandomString(rng, 64);
+  m.auth.principal = RandomString(rng, 32);
+  m.auth.ticket_id = rng.Next();
+  m.auth.ticket_blob = RandomBytes(rng, 64);
+  m.auth.signature = RandomBytes(rng, 32);
+  m.auth.encrypted = rng.Bernoulli(0.5);
+  m.payload = RandomBytes(rng, 512);
+  return m;
+}
+
+void ExpectSameMessage(const wire::Message& a, const wire::Message& b) {
+  EXPECT_EQ(a.kind, b.kind);
+  EXPECT_EQ(a.call_id, b.call_id);
+  EXPECT_EQ(a.object_id, b.object_id);
+  EXPECT_EQ(a.type_id, b.type_id);
+  EXPECT_EQ(a.method_id, b.method_id);
+  EXPECT_EQ(a.target_incarnation, b.target_incarnation);
+  EXPECT_EQ(a.status, b.status);
+  EXPECT_EQ(a.status_message, b.status_message);
+  EXPECT_EQ(a.auth.principal, b.auth.principal);
+  EXPECT_EQ(a.auth.ticket_id, b.auth.ticket_id);
+  EXPECT_EQ(a.auth.ticket_blob, b.auth.ticket_blob);
+  EXPECT_EQ(a.auth.signature, b.auth.signature);
+  EXPECT_EQ(a.auth.encrypted, b.auth.encrypted);
+  EXPECT_EQ(a.payload, b.payload);
+}
+
 TEST_P(WireProperty, MessageEncodeDecodeRoundTrips) {
   for (int i = 0; i < 200; ++i) {
-    wire::Message m;
-    m.kind = static_cast<wire::MsgKind>(1 + rng_.Below(3));
-    m.call_id = rng_.Next();
-    m.object_id = rng_.Next();
-    m.type_id = rng_.Next();
-    m.method_id = static_cast<uint32_t>(rng_.Next());
-    m.target_incarnation = rng_.Next();
-    m.status = static_cast<StatusCode>(rng_.Below(15));
-    m.status_message = RandomString(rng_, 64);
-    m.auth.principal = RandomString(rng_, 32);
-    m.auth.ticket_id = rng_.Next();
-    m.auth.ticket_blob = RandomBytes(rng_, 64);
-    m.auth.signature = RandomBytes(rng_, 32);
-    m.auth.encrypted = rng_.Bernoulli(0.5);
-    m.payload = RandomBytes(rng_, 512);
-
+    wire::Message m = RandomMessage(rng_);
     wire::Bytes encoded = wire::EncodeMessage(m);
+    EXPECT_EQ(encoded.size(), m.EncodedSize());
     wire::Message out;
     ASSERT_TRUE(wire::DecodeMessage(encoded, &out));
-    EXPECT_EQ(out.kind, m.kind);
-    EXPECT_EQ(out.call_id, m.call_id);
-    EXPECT_EQ(out.status_message, m.status_message);
-    EXPECT_EQ(out.auth.principal, m.auth.principal);
-    EXPECT_EQ(out.auth.ticket_blob, m.auth.ticket_blob);
-    EXPECT_EQ(out.auth.signature, m.auth.signature);
-    EXPECT_EQ(out.payload, m.payload);
+    ExpectSameMessage(m, out);
   }
 }
 
 TEST_P(WireProperty, TruncatedMessagesNeverDecode) {
-  wire::Message m;
-  m.status_message = RandomString(rng_, 40);
-  m.payload = RandomBytes(rng_, 200);
+  wire::Message m = RandomMessage(rng_);
   wire::Bytes encoded = wire::EncodeMessage(m);
   for (int i = 0; i < 100; ++i) {
     size_t cut = rng_.Below(encoded.size());  // Strictly shorter.
@@ -123,42 +137,9 @@ TEST_P(WireProperty, ReaderNeverReadsPastEnd) {
   }
 }
 
-wire::Message RandomMessage(Rng& rng) {
-  wire::Message m;
-  m.kind = static_cast<wire::MsgKind>(1 + rng.Below(3));
-  m.call_id = rng.Next();
-  m.object_id = rng.Next();
-  m.type_id = rng.Next();
-  m.method_id = static_cast<uint32_t>(rng.Next());
-  m.target_incarnation = rng.Next();
-  m.status = static_cast<StatusCode>(rng.Below(15));
-  m.status_message = RandomString(rng, 64);
-  m.auth.principal = RandomString(rng, 32);
-  m.auth.ticket_id = rng.Next();
-  m.auth.ticket_blob = RandomBytes(rng, 64);
-  m.auth.signature = RandomBytes(rng, 32);
-  m.auth.encrypted = rng.Bernoulli(0.5);
-  m.payload = RandomBytes(rng, 512);
-  return m;
-}
-
-void ExpectSameMessage(const wire::Message& a, const wire::Message& b) {
-  EXPECT_EQ(a.kind, b.kind);
-  EXPECT_EQ(a.call_id, b.call_id);
-  EXPECT_EQ(a.object_id, b.object_id);
-  EXPECT_EQ(a.type_id, b.type_id);
-  EXPECT_EQ(a.method_id, b.method_id);
-  EXPECT_EQ(a.target_incarnation, b.target_incarnation);
-  EXPECT_EQ(a.status, b.status);
-  EXPECT_EQ(a.status_message, b.status_message);
-  EXPECT_EQ(a.auth.principal, b.auth.principal);
-  EXPECT_EQ(a.auth.ticket_id, b.auth.ticket_id);
-  EXPECT_EQ(a.auth.ticket_blob, b.auth.ticket_blob);
-  EXPECT_EQ(a.auth.signature, b.auth.signature);
-  EXPECT_EQ(a.auth.encrypted, b.auth.encrypted);
-  EXPECT_EQ(a.payload, b.payload);
-}
-
+// The transport decodes a frame body it owns and then drops; an rvalue buffer
+// binds to the one DecodeMessage overload and must decode exactly as an
+// lvalue copy of the same bytes does.
 TEST_P(WireProperty, MoveDecodeMatchesCopyDecode) {
   for (int i = 0; i < 200; ++i) {
     wire::Message m = RandomMessage(rng_);
@@ -229,8 +210,6 @@ TEST_P(WireProperty, CorruptedMessagesDecodeWithoutCrashing) {
         static_cast<uint8_t>(1u << rng_.Below(8));
     wire::Message out;
     (void)wire::DecodeMessage(corrupt, &out);
-    wire::Message out2;
-    (void)wire::DecodeMessage(std::move(corrupt), &out2);
   }
 }
 

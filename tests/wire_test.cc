@@ -288,19 +288,41 @@ TEST(MediaWireTest, MdsLoadFieldOrderStability) {
   EXPECT_EQ(r.remaining(), 0u);
 }
 
-TEST(MediaWireTest, MdsLoadLegacyDecodeWithoutSeq) {
-  // A pre-seq encoder stops after capacity_bps; the trailing-field decode
-  // must accept it and default seq to 0.
-  Writer w;
-  w.WriteU32(3);
-  w.WriteI64(9'000'000);
-  w.WriteI64(48'000'000);
-  media::MdsLoad out;
-  ASSERT_TRUE(DecodeValue(w.bytes(), &out));
-  EXPECT_EQ(out.active_streams, 3u);
-  EXPECT_EQ(out.reserved_bps, 9'000'000);
-  EXPECT_EQ(out.capacity_bps, 48'000'000);
-  EXPECT_EQ(out.seq, 0u);
+TEST(MediaWireTest, MdsSyncRoundTrip) {
+  // MdsLoad sits between two lists in the sync reply, so its seq is a fixed
+  // field: a pre-seq encoding would eat the session list's length.
+  media::MdsSync in;
+  in.titles = {media::MovieInfo{"T2", 3'000'000, 1'350'000'000}};
+  in.load.active_streams = 1;
+  in.load.reserved_bps = 3'000'000;
+  in.load.capacity_bps = 48'000'000;
+  in.load.seq = (7ull << 20) + 2;
+  media::SessionInfo session;
+  session.stream_id = (7ull << 20) + 1;
+  session.title = "T2";
+  session.settop_host = 0x0b010001;
+  session.connection.connection_id = 42;
+  session.connection.downstream_bps = 3'000'000;
+  session.movie.endpoint = {0x0a000101, 500};
+  session.movie.object_id = 12;
+  in.sessions = {session};
+  Bytes b = EncodeValue(in);
+  media::MdsSync out;
+  ASSERT_TRUE(DecodeValue(b, &out));
+  EXPECT_EQ(out.titles, in.titles);
+  EXPECT_EQ(out.load, in.load);
+  ASSERT_EQ(out.sessions.size(), 1u);
+  EXPECT_EQ(out.sessions[0].stream_id, session.stream_id);
+  EXPECT_EQ(out.sessions[0].settop_host, session.settop_host);
+  EXPECT_EQ(out.sessions[0].connection.connection_id, 42u);
+  EXPECT_EQ(out.sessions[0].movie, session.movie);
+
+  Writer legacy;  // Pre-seq MdsLoad: stops after capacity_bps.
+  legacy.WriteU32(3);
+  legacy.WriteI64(9'000'000);
+  legacy.WriteI64(48'000'000);
+  media::MdsLoad load;
+  EXPECT_FALSE(DecodeValue(legacy.bytes(), &load));
 }
 
 TEST(MediaWireTest, MovieTicketRoundTripAndLegacyDecode) {

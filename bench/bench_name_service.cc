@@ -12,9 +12,22 @@
 // growing with replicas; (b) bind (update) latency through a slave — pays
 // the forward hop; (c) wire messages per update — grows with the replica
 // count (the master's multicast), the deliberate cost of hot-standby naming.
+//
+// Then (d) write cost vs name-space size: bind 1k, 10k and 50k names into one
+// context on 3 replicas. Every replica applies every update, so the process
+// CPU time of the bind phase divided by names x replicas is the cost of one
+// applied update on one replica. It must stay flat as the name space grows:
+// an update that walks the whole tree makes it grow linearly, and the set-up
+// time quadratically.
+//
+// Writes a "bench_name_service" section to the merged report (BENCH.json).
 
+#include <chrono>
 #include <cstdio>
+#include <ctime>
+#include <vector>
 
+#include "bench/bench_report.h"
 #include "bench/bench_util.h"
 #include "src/naming/name_client.h"
 #include "src/svc/harness.h"
@@ -109,6 +122,71 @@ Row Measure(size_t replicas) {
              msgs_per_resolve};
 }
 
+struct WriteCostRow {
+  size_t names;
+  double setup_s;            // Wall clock to bind every name.
+  double cpu_us_per_update;  // Process CPU per applied update per replica.
+  double msgs_per_update;
+};
+
+WriteCostRow MeasureWriteCost(size_t names) {
+  constexpr size_t kReplicas = 3;
+  constexpr size_t kInFlight = 64;
+  svc::HarnessOptions opts;
+  opts.server_count = kReplicas;
+  opts.start_csc = false;
+  svc::ClusterHarness harness(opts);
+  harness.Boot();
+  sim::Cluster& cluster = harness.cluster();
+  sim::Process& client = harness.SpawnProcessOn(kReplicas - 1, "client");
+  naming::NameClient nc = harness.ClientFor(client);
+  ITV_CHECK(bench::WaitOn(cluster, nc.BindNewContext("svc/e6")).ok());
+
+  // Bound objects are the client itself, so an audit sweep finds them alive.
+  wire::ObjectRef ref;
+  ref.endpoint = client.runtime().local_endpoint();
+  ref.incarnation = client.runtime().incarnation();
+  ref.type_id = 7;
+
+  uint64_t msgs_before = harness.metrics().Get("net.msg.total");
+  std::clock_t cpu_start = std::clock();
+  auto wall_start = std::chrono::steady_clock::now();
+  size_t issued = 0;
+  size_t done = 0;
+  size_t failed = 0;
+  while (done < names) {
+    for (; issued < names && issued - done < kInFlight; ++issued) {
+      ref.object_id = issued + 1;
+      nc.Bind("svc/e6/n" + std::to_string(issued), ref)
+          .OnReady([&](const Result<void>& r) {
+            ++done;
+            failed += r.ok() ? 0 : 1;
+          });
+    }
+    cluster.RunFor(Duration::Millis(1));
+  }
+  double setup_s = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - wall_start)
+                       .count();
+  double cpu_us = static_cast<double>(std::clock() - cpu_start) * 1e6 /
+                  CLOCKS_PER_SEC;
+  uint64_t msgs = harness.metrics().Get("net.msg.total") - msgs_before;
+
+  ITV_CHECK(failed == 0) << failed << " of " << names << " binds failed";
+  cluster.RunFor(Duration::Seconds(1));  // Let the last multicasts land.
+  std::vector<naming::NameServer*> replicas = harness.LiveNameServers();
+  ITV_CHECK(replicas.size() == kReplicas);
+  for (naming::NameServer* ns : replicas) {
+    auto listed = ns->tree().List(SplitPath("svc/e6"));
+    ITV_CHECK(listed.ok() && listed->size() == names)
+        << "a replica is missing binds";
+  }
+  return WriteCostRow{
+      names, setup_s,
+      cpu_us / static_cast<double>(names * kReplicas),
+      static_cast<double>(msgs) / static_cast<double>(names)};
+}
+
 }  // namespace
 }  // namespace itv
 
@@ -122,8 +200,13 @@ int main() {
   bench::PrintRow({"replicas", "resolve_p50_ms", "resolve_p99_ms",
                    "bind_p50_ms", "bind_p99_ms", "msgs/resolve",
                    "msgs/update"});
+  bench::ReportSection report("bench_name_service");
   for (size_t replicas : {1, 2, 3, 5, 8}) {
     Row row = Measure(replicas);
+    std::string prefix = "replicas_" + std::to_string(replicas) + "_";
+    report.Set(prefix + "bind_p50_ms", row.bind_via_slave_ms);
+    report.Set(prefix + "msgs_per_resolve", row.msgs_per_resolve);
+    report.Set(prefix + "msgs_per_update", row.msgs_per_update);
     bench::PrintRow({bench::FmtInt(row.replicas),
                      bench::Fmt("%.3f", row.resolve_local_ms),
                      bench::Fmt("%.3f", row.resolve_p99_ms),
@@ -138,5 +221,31 @@ int main() {
       "capacity grows linearly.\nbind latency adds the forward hop; "
       "msgs/update grows ~linearly with replicas\n(multicast) — fine because "
       "'updates only occur when services are started or restarted'.\n");
+
+  std::printf(
+      "\n(d) write cost vs name-space size: 3 replicas, every name bound "
+      "into one context,\n64 binds in flight through a slave; cpu_us/update "
+      "is per applied update per replica.\n\n");
+  bench::PrintRow({"names", "setup_s", "cpu_us/update", "msgs/update"});
+  std::vector<WriteCostRow> rows;
+  for (size_t names : {1000, 10000, 50000}) {
+    WriteCostRow row = MeasureWriteCost(names);
+    rows.push_back(row);
+    bench::PrintRow({bench::FmtInt(row.names), bench::Fmt("%.2f", row.setup_s),
+                     bench::Fmt("%.1f", row.cpu_us_per_update),
+                     bench::Fmt("%.1f", row.msgs_per_update)});
+    std::string prefix = "names_" + std::to_string(names) + "_";
+    report.Set(prefix + "setup_s", row.setup_s);
+    report.Set(prefix + "cpu_us_per_update", row.cpu_us_per_update);
+    report.Set(prefix + "msgs_per_update", row.msgs_per_update);
+  }
+  std::printf(
+      "\nexpect: cpu_us/update flat from 1k to 50k names (an update "
+      "touches only\nits own path), set-up time linear in names.\n");
+  report.WriteMerged();
+  // An update that walks the whole name space costs over 100x more at 50k
+  // names than at 1k; noise and cache effects stay far below 4x.
+  ITV_CHECK(rows.back().cpu_us_per_update < 4 * rows.front().cpu_us_per_update)
+      << "name-service write cost grows with the name space";
   return 0;
 }

@@ -77,6 +77,12 @@ Status ContextTree::Apply(const NameUpdate& update) {
       if (it != parent->bindings.end() && !is_selector_slot) {
         return AlreadyExistsError(JoinPath(update.path) + " is already bound");
       }
+      if (it != parent->bindings.end() && it->second.is_local_context()) {
+        // Only a policy ref may be swapped in; a context there (and anything
+        // bound under it) is never silently destroyed.
+        return FailedPreconditionError(JoinPath(update.path) +
+                                       " is a local context");
+      }
       Entry entry;
       entry.ref = update.ref;
       parent->bindings[leaf] = std::move(entry);
@@ -231,19 +237,6 @@ bool ContextTree::NodesEqual(const Node& a, const Node& b) {
 
 bool ContextTree::StructurallyEquals(const ContextTree& other) const {
   return NodesEqual(*root_, *other.root_);
-}
-
-void ContextTree::VisitNodes(Node& node, const std::function<void(Node&)>& fn) {
-  fn(node);
-  for (auto& [name, entry] : node.bindings) {
-    if (entry.is_local_context()) {
-      VisitNodes(*entry.child, fn);
-    }
-  }
-}
-
-void ContextTree::ForEachNode(const std::function<void(Node&)>& fn) {
-  VisitNodes(*root_, fn);
 }
 
 void ContextTree::CountNodes(const Node& node, size_t* count) {

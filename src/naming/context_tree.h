@@ -9,7 +9,6 @@
 #ifndef SRC_NAMING_CONTEXT_TREE_H_
 #define SRC_NAMING_CONTEXT_TREE_H_
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -63,8 +62,9 @@ class ContextTree {
   // Applies one replicated update. Deterministic: identical sequences yield
   // identical trees. Bind into a missing parent context fails NOT_FOUND;
   // rebinding an existing name fails ALREADY_EXISTS (primary/backup election
-  // depends on this, paper Section 5.2); unbinding a non-empty local context
-  // fails FAILED_PRECONDITION.
+  // depends on this, paper Section 5.2); unbinding a non-empty local context,
+  // or binding over a local context in a selector slot, fails
+  // FAILED_PRECONDITION.
   Status Apply(const NameUpdate& update);
 
   // Listing (no selector evaluation; the server layer applies selectors).
@@ -85,17 +85,12 @@ class ContextTree {
   // Structural equality (testing the replication invariant).
   bool StructurallyEquals(const ContextTree& other) const;
 
-  // Walks every node (pre-order), for the server to (re)export context
-  // objects after a snapshot install.
-  void ForEachNode(const std::function<void(Node&)>& fn);
-
   size_t node_count() const;
 
  private:
   static void EncodeNode(wire::Writer& w, const Node& node);
   static bool DecodeNode(wire::Reader& r, Node* node, int depth);
   static bool NodesEqual(const Node& a, const Node& b);
-  static void VisitNodes(Node& node, const std::function<void(Node&)>& fn);
   static void CountNodes(const Node& node, size_t* count);
   static void CollectObjects(const Node& node, Name* prefix,
                              std::vector<BoundObject>* out);

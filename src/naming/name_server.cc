@@ -1,6 +1,5 @@
 #include "src/naming/name_server.h"
 
-#include <set>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -26,13 +25,6 @@ class NameServer::ContextSkeleton : public rpc::Skeleton {
   std::string_view interface_name() const override {
     return kNamingContextInterface;
   }
-
-  void Rebind(ContextTree::Node* node, Name abs_path) {
-    node_ = node;
-    abs_path_ = std::move(abs_path);
-  }
-
-  ContextTree::Node* node() const { return node_; }
 
   void Dispatch(uint32_t method_id, const wire::Bytes& args,
                 const rpc::CallContext& ctx, rpc::ReplyFn reply) override {
@@ -120,8 +112,9 @@ class NameServer::ContextSkeleton : public rpc::Skeleton {
   }
 
   NameServer& server_;
-  ContextTree::Node* node_;
-  Name abs_path_;
+  // Fixed for the skeleton's life: contexts are never renamed or moved.
+  ContextTree::Node* const node_;
+  const Name abs_path_;
 };
 
 // Internal replica-to-replica interface.
@@ -220,7 +213,7 @@ void NameServer::Start() {
   started_ = true;
   replica_skeleton_ = std::make_unique<ReplicaSkeleton>(*this);
   runtime_.ExportAt(replica_skeleton_.get(), kReplicaObjectId);
-  ReconcileContextExports();  // Exports the root at kRootContextObjectId.
+  ExportContext(&tree_.root(), {});
   root_ref_ = RefForNode(&tree_.root());
 
   if (options_.peers.size() == 1) {
@@ -453,13 +446,12 @@ void NameServer::SubmitUpdate(const NameUpdate& update,
 
 void NameServer::MasterApply(const NameUpdate& update,
                              std::function<void(Status)> cb) {
-  Status s = tree_.Apply(update);
+  Status s = ApplyToTree(update);
   if (!s.ok()) {
     cb(s);
     return;
   }
   Count("ns.update.applied");
-  ReconcileContextExports();
   ++applied_seq_;
   for (size_t i = 0; i < options_.peers.size(); ++i) {
     if (i + 1 == options_.replica_id) {
@@ -493,7 +485,7 @@ void NameServer::SlaveApply(uint64_t seq, uint64_t epoch,
     FetchSnapshotFromMaster();
     return;
   }
-  Status s = tree_.Apply(update);
+  Status s = ApplyToTree(update);
   if (!s.ok()) {
     // Divergence (should not happen with a correct master): resync.
     ITV_LOG(Warn) << "ns replica " << options_.replica_id
@@ -502,64 +494,57 @@ void NameServer::SlaveApply(uint64_t seq, uint64_t epoch,
     return;
   }
   applied_seq_ = seq;
-  ReconcileContextExports();
 }
 
-void NameServer::ReconcileContextExports() {
-  // Collect live nodes with their absolute paths.
-  struct LiveNode {
-    ContextTree::Node* node;
-    Name path;
-  };
-  std::vector<LiveNode> live;
-  std::function<void(ContextTree::Node&, Name&)> walk =
-      [&](ContextTree::Node& node, Name& path) {
-        live.push_back(LiveNode{&node, path});
-        for (auto& [name, entry] : node.bindings) {
-          if (entry.is_local_context()) {
-            path.push_back(name);
-            walk(*entry.child, path);
-            path.pop_back();
-          }
-        }
-      };
-  Name prefix;
-  walk(tree_.root(), prefix);
-
-  std::set<ContextTree::Node*> live_set;
-  for (const LiveNode& ln : live) {
-    live_set.insert(ln.node);
-  }
-
-  // Drop skeletons whose context was unbound.
-  for (auto it = context_skeletons_.begin(); it != context_skeletons_.end();) {
-    if (live_set.count(it->second->node()) == 0) {
-      wire::ObjectRef ref;
-      ref.object_id = it->first;
-      runtime_.Unexport(ref);
-      it = context_skeletons_.erase(it);
-    } else {
-      ++it;
+Status NameServer::ApplyToTree(const NameUpdate& update) {
+  // Only an unbind can drop a context node (and only an empty one). Find its
+  // export before Apply frees the node; unexport only if the unbind succeeds.
+  uint64_t dropped_id = 0;
+  if (update.op == NameOp::kUnbind) {
+    Result<ContextTree::Node*> node = tree_.WalkToContext(update.path);
+    if (node.ok()) {
+      dropped_id = (*node)->exported_id;
     }
   }
+  ITV_RETURN_IF_ERROR(tree_.Apply(update));
+  switch (update.op) {
+    case NameOp::kBindNewContext:
+    case NameOp::kBindReplContext:
+      ExportContext(*tree_.WalkToContext(update.path), update.path);
+      break;
+    case NameOp::kUnbind:
+      if (dropped_id != 0) {
+        wire::ObjectRef ref;
+        ref.object_id = dropped_id;
+        runtime_.Unexport(ref);
+        context_skeletons_.erase(dropped_id);
+      }
+      break;
+    case NameOp::kBind:
+      break;
+  }
+  return OkStatus();
+}
 
-  // Export new contexts; refresh paths on existing ones.
-  for (LiveNode& ln : live) {
-    if (ln.node->exported_id != 0 &&
-        context_skeletons_.count(ln.node->exported_id) > 0 &&
-        context_skeletons_[ln.node->exported_id]->node() == ln.node) {
-      context_skeletons_[ln.node->exported_id]->Rebind(ln.node, ln.path);
-      continue;
+void NameServer::ExportContext(ContextTree::Node* node, Name path) {
+  auto skeleton =
+      std::make_unique<ContextSkeleton>(*this, node, std::move(path));
+  wire::ObjectRef ref =
+      node == &tree_.root()
+          ? runtime_.ExportAt(skeleton.get(), kRootContextObjectId)
+          : runtime_.Export(skeleton.get());
+  node->exported_id = ref.object_id;
+  context_skeletons_[ref.object_id] = std::move(skeleton);
+}
+
+void NameServer::ExportTree(ContextTree::Node* node, Name* path) {
+  ExportContext(node, *path);
+  for (auto& [name, entry] : node->bindings) {
+    if (entry.is_local_context()) {
+      path->push_back(name);
+      ExportTree(entry.child.get(), path);
+      path->pop_back();
     }
-    auto skeleton = std::make_unique<ContextSkeleton>(*this, ln.node, ln.path);
-    wire::ObjectRef ref;
-    if (ln.node == &tree_.root()) {
-      ref = runtime_.ExportAt(skeleton.get(), kRootContextObjectId);
-    } else {
-      ref = runtime_.Export(skeleton.get());
-    }
-    ln.node->exported_id = ref.object_id;
-    context_skeletons_[ref.object_id] = std::move(skeleton);
   }
 }
 
@@ -582,14 +567,14 @@ void NameServer::InstallSnapshot(const SnapshotReply& snapshot) {
   }
   context_skeletons_.clear();
   tree_ = std::move(tree).value();
-  // Snapshot carries exported ids from the master; reset them — ids are a
-  // replica-local concern.
-  tree_.ForEachNode([](ContextTree::Node& n) { n.exported_id = 0; });
   applied_seq_ = snapshot.seq;
   if (snapshot.epoch > epoch_) {
     epoch_ = snapshot.epoch;
   }
-  ReconcileContextExports();
+  // The only full pass: every node is re-exported in pre-order (ids are
+  // replica-local, so each node's exported_id is assigned here).
+  Name root_path;
+  ExportTree(&tree_.root(), &root_path);
   root_ref_ = RefForNode(&tree_.root());
   resync_pending_ = false;
   Count("ns.snapshot.installed");

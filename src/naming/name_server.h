@@ -117,7 +117,14 @@ class NameServer {
   void SubmitUpdate(const NameUpdate& update, std::function<void(Status)> cb);
   void MasterApply(const NameUpdate& update, std::function<void(Status)> cb);
   void SlaveApply(uint64_t seq, uint64_t epoch, const NameUpdate& update);
-  void ReconcileContextExports();
+  // Applies one sequenced update to the tree and keeps the context exports
+  // in step with it: a created context is exported, an unbound one dropped.
+  Status ApplyToTree(const NameUpdate& update);
+  // Exports `node`, reachable at `path`, as a NamingContext object; the root
+  // takes its well-known id.
+  void ExportContext(ContextTree::Node* node, Name path);
+  // Exports `node` and every context below it, in pre-order.
+  void ExportTree(ContextTree::Node* node, Name* path);
   void InstallSnapshot(const SnapshotReply& snapshot);
   void FetchSnapshotFromMaster();
 
@@ -145,8 +152,10 @@ class NameServer {
   ObjectAudit* audit_ = nullptr;
 
   ContextTree tree_;
-  // Exported context objects: object id -> skeleton (owning) and the node it
-  // fronts. Rebuilt by ReconcileContextExports after every applied update.
+  // Exported context objects: object id -> skeleton (owning), one per
+  // context node. Made when a context is created and dropped when it is
+  // unbound; contexts are never renamed, so a skeleton's path stays valid.
+  // Rebuilt wholesale only by InstallSnapshot.
   std::map<uint64_t, std::unique_ptr<ContextSkeleton>> context_skeletons_;
   std::unique_ptr<ReplicaSkeleton> replica_skeleton_;
   wire::ObjectRef root_ref_;

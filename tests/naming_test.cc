@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/rand.h"
 #include "src/naming/context_tree.h"
 #include "src/naming/name_client.h"
 #include "src/naming/name_server.h"
@@ -75,6 +76,27 @@ TEST(ContextTreeTest, SelectorSlotIsRebindable) {
       tree.Apply(Bind("svc/selector",
                       MakeBuiltinSelectorRef(BuiltinSelector::kRoundRobin)))
           .ok());
+}
+
+TEST(ContextTreeTest, SelectorSlotNeverReplacesALocalContext) {
+  // A policy bind on a replicated context's selector slot must not destroy a
+  // local context bound there, empty or not: its export would outlive it.
+  ContextTree tree;
+  ASSERT_TRUE(tree.Apply(NewReplContext("r")).ok());
+  ASSERT_TRUE(tree.Apply(NewContext("r/selector")).ok());
+  ASSERT_TRUE(tree.Apply(Bind("r/selector/x", FakeRef(1, 2))).ok());
+  NameUpdate policy =
+      Bind("r/selector", MakeBuiltinSelectorRef(BuiltinSelector::kFirst));
+  EXPECT_EQ(tree.Apply(policy).code(), StatusCode::kFailedPrecondition);
+  auto list = tree.List(SplitPath("r/selector"));
+  ASSERT_TRUE(list.ok()) << list.status();
+  ASSERT_EQ(list->size(), 1u);
+  EXPECT_EQ((*list)[0].name, "x");
+
+  ASSERT_TRUE(tree.Apply(Unbind("r/selector/x")).ok());
+  EXPECT_EQ(tree.Apply(policy).code(), StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(tree.Apply(Unbind("r/selector")).ok());
+  EXPECT_TRUE(tree.Apply(policy).ok());
 }
 
 TEST(ContextTreeTest, UnbindNonEmptyContextFails) {
@@ -263,7 +285,69 @@ class NameServiceFixture : public ::testing::Test {
     return f.result();
   }
 
+  // Every live replica exports exactly one object per context node, plus its
+  // replica skeleton.
+  void ExpectOneExportPerContext(const std::string& after) {
+    for (auto& [index, ns] : replicas_) {
+      sim::Process* nsd = servers_[index]->FindProcessByName("nsd");
+      ASSERT_NE(nsd, nullptr);
+      EXPECT_EQ(nsd->runtime().exported_count(), ns->tree().node_count() + 1)
+          << "replica " << index + 1 << " after " << after;
+    }
+  }
+
+  // Names the service accepted during a random update run.
+  struct BoundName {
+    std::string path;
+    bool context;
+  };
+
+  // Submits one random update through `nc`: a new local or replicated
+  // context, an object bind, or an unbind of a bound name (which fails for a
+  // non-empty context). Returns a description of the update.
+  std::string RandomUpdate(Rng& rng, const NameClient& nc,
+                           std::vector<BoundName>* bound) {
+    std::vector<std::string> parents{""};
+    for (const BoundName& b : *bound) {
+      if (b.context) {
+        parents.push_back(b.path + "/");
+      }
+    }
+    const std::string& parent = parents[rng.Below(parents.size())];
+    std::string id = std::to_string(next_name_++);
+    uint64_t pick = rng.Below(100);
+    if (pick < 30 && !bound->empty()) {
+      size_t victim = rng.Below(bound->size());
+      std::string path = (*bound)[victim].path;
+      if (Wait(nc.Unbind(path), Duration::Millis(500)).ok()) {
+        bound->erase(bound->begin() + static_cast<long>(victim));
+      }
+      return "unbind " + path;
+    }
+    if (pick < 55) {
+      std::string path = parent + "c" + id;
+      if (Wait(nc.BindNewContext(path), Duration::Millis(500)).ok()) {
+        bound->push_back({path, true});
+      }
+      return "new context " + path;
+    }
+    if (pick < 65) {
+      std::string path = parent + "r" + id;
+      if (Wait(nc.BindReplContext(path), Duration::Millis(500)).ok()) {
+        bound->push_back({path, true});
+      }
+      return "new replicated context " + path;
+    }
+    std::string path = parent + "o" + id;
+    if (Wait(nc.Bind(path, FakeRef(5, 5, next_name_)), Duration::Millis(500))
+            .ok()) {
+      bound->push_back({path, false});
+    }
+    return "bind " + path;
+  }
+
   sim::Cluster cluster_;
+  uint64_t next_name_ = 1;
   std::vector<sim::Node*> servers_;
   std::map<size_t, NameServer*> replicas_;
   sim::Node* client_node_ = nullptr;
@@ -484,6 +568,72 @@ TEST_F(SingleReplicaTest, BootstrapRefSurvivesNameServiceRestart) {
   // service re-registration; here it is simply empty again).
   auto r = Wait(nc.BindNewContext("svc2"));
   EXPECT_TRUE(r.ok()) << r.status();
+}
+
+TEST_F(SingleReplicaTest, ExportsTrackContextsThroughRandomUpdates) {
+  sim::Process& client = SpawnClient();
+  NameClient nc(client.runtime(), servers_[0]->host());
+  Rng rng(1401);
+  std::vector<BoundName> bound;
+  ExpectOneExportPerContext("boot");
+  for (int step = 0; step < 200; ++step) {
+    std::string update = RandomUpdate(rng, nc, &bound);
+    ExpectOneExportPerContext(update);
+    if (HasFailure()) {
+      return;
+    }
+  }
+  EXPECT_GT(replicas_[0]->tree().node_count(), 10u);
+}
+
+TEST_F(SingleReplicaTest, ContextRefOutlivesThousandBindsInIt) {
+  sim::Process& client = SpawnClient();
+  NameClient nc(client.runtime(), servers_[0]->host());
+  ASSERT_TRUE(Wait(nc.BindNewContext("apps")).ok());
+  auto ctx = Wait(nc.Resolve("apps"));
+  ASSERT_TRUE(ctx.ok()) << ctx.status();
+
+  std::vector<Future<void>> binds;
+  for (uint64_t i = 0; i < 1000; ++i) {
+    binds.push_back(
+        nc.Bind("apps/o" + std::to_string(i), FakeRef(7, 7, i + 1)));
+  }
+  cluster_.RunFor(Duration::Seconds(10));
+  for (const Future<void>& f : binds) {
+    ASSERT_TRUE(f.is_ready() && f.result().ok());
+  }
+
+  NamingContextProxy proxy(client.runtime(), *ctx);
+  ASSERT_TRUE(Wait(proxy.Bind({"late"}, FakeRef(8, 8))).ok());
+  auto late = Wait(proxy.Resolve({"late"}));
+  ASSERT_TRUE(late.ok()) << late.status();
+  EXPECT_EQ(*late, FakeRef(8, 8));
+  auto last = Wait(proxy.Resolve({"o999"}));
+  ASSERT_TRUE(last.ok()) << last.status();
+  EXPECT_EQ(*last, FakeRef(7, 7, 1000));
+}
+
+TEST_F(SingleReplicaTest, UnboundContextRefIsNotServed) {
+  sim::Process& client = SpawnClient();
+  NameClient nc(client.runtime(), servers_[0]->host());
+  ASSERT_TRUE(Wait(nc.BindNewContext("tmp")).ok());
+  auto ctx = Wait(nc.Resolve("tmp"));
+  ASSERT_TRUE(ctx.ok()) << ctx.status();
+  ASSERT_TRUE(Wait(nc.Unbind("tmp")).ok());
+
+  NamingContextProxy stale(client.runtime(), *ctx);
+  EXPECT_FALSE(Wait(stale.Resolve({"x"})).ok());
+  EXPECT_FALSE(Wait(stale.Bind({"x"}, FakeRef(1, 1))).ok());
+
+  // A new context of the same name is a new object; the old ref stays dead.
+  ASSERT_TRUE(Wait(nc.BindNewContext("tmp")).ok());
+  auto fresh = Wait(nc.Resolve("tmp"));
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+  EXPECT_NE(fresh->object_id, ctx->object_id);
+  EXPECT_FALSE(Wait(stale.Bind({"x"}, FakeRef(1, 1))).ok());
+  auto list = Wait(nc.List("tmp"));
+  ASSERT_TRUE(list.ok()) << list.status();
+  EXPECT_TRUE(list->empty());
 }
 
 // --- Multi-replica ---------------------------------------------------------------
@@ -714,6 +864,86 @@ TEST_F(ThreeReplicaTest, PartitionedReplicaCatchesUpViaSnapshot) {
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_EQ(*r, FakeRef(3, 3));
   EXPECT_GE(cluster_.metrics().Get("ns.snapshot.installed"), 1u);
+}
+
+TEST_F(ThreeReplicaTest, CaughtUpReplicaServesItsContextRefs) {
+  NameServer* master = Master();
+  ASSERT_NE(master, nullptr);
+  size_t slave_index = replicas_[2] == master ? 1 : 2;
+  uint32_t slave_host = servers_[slave_index]->host();
+  for (size_t i = 0; i < 3; ++i) {
+    if (i != slave_index) {
+      cluster_.network().Partition(slave_host, servers_[i]->host(), true);
+    }
+  }
+  sim::Process& client = SpawnClient();
+  size_t reachable = (slave_index + 1) % 3;
+  NameClient nc(client.runtime(), servers_[reachable]->host());
+  ASSERT_TRUE(Wait(nc.BindNewContext("svc"), Duration::Seconds(10)).ok());
+  ASSERT_TRUE(
+      Wait(nc.Bind("svc/x", FakeRef(3, 3)), Duration::Seconds(10)).ok());
+  for (size_t i = 0; i < 3; ++i) {
+    if (i != slave_index) {
+      cluster_.network().Partition(slave_host, servers_[i]->host(), false);
+    }
+  }
+  cluster_.RunFor(Duration::Seconds(10));
+  ASSERT_GE(cluster_.metrics().Get("ns.snapshot.installed"), 1u);
+
+  sim::Process& c2 = SpawnClient("c2");
+  NameClient lagged(c2.runtime(), slave_host);
+  auto ctx = Wait(lagged.Resolve("svc"));
+  ASSERT_TRUE(ctx.ok()) << ctx.status();
+  EXPECT_EQ(ctx->endpoint.host, slave_host);
+  NamingContextProxy proxy(c2.runtime(), *ctx);
+  auto r = Wait(proxy.Resolve({"x"}));
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(*r, FakeRef(3, 3));
+}
+
+TEST_F(ThreeReplicaTest, ExportsTrackContextsThroughUpdatesAndSnapshot) {
+  NameServer* master = Master();
+  ASSERT_NE(master, nullptr);
+  size_t slave_index = replicas_[2] == master ? 1 : 2;
+  size_t reachable = (slave_index + 1) % 3;
+  uint32_t slave_host = servers_[slave_index]->host();
+  sim::Process& client = SpawnClient();
+  Rng rng(1403);
+  std::vector<BoundName> bound;
+
+  // Each phase submits through a random replica (or, while one is cut off,
+  // through a reachable one) and checks every replica after every update.
+  auto run_phase = [&](int steps, bool any_replica) {
+    for (int step = 0; step < steps && !HasFailure(); ++step) {
+      size_t via = any_replica ? rng.Below(3) : reachable;
+      NameClient nc(client.runtime(), servers_[via]->host());
+      std::string update = RandomUpdate(rng, nc, &bound);
+      ExpectOneExportPerContext(update);
+    }
+  };
+
+  run_phase(60, true);
+  uint64_t installed = cluster_.metrics().Get("ns.snapshot.installed");
+  for (size_t i = 0; i < 3; ++i) {
+    if (i != slave_index) {
+      cluster_.network().Partition(slave_host, servers_[i]->host(), true);
+    }
+  }
+  run_phase(60, false);
+  for (size_t i = 0; i < 3; ++i) {
+    if (i != slave_index) {
+      cluster_.network().Partition(slave_host, servers_[i]->host(), false);
+    }
+  }
+  cluster_.RunFor(Duration::Seconds(10));
+  EXPECT_GT(cluster_.metrics().Get("ns.snapshot.installed"), installed);
+  ExpectOneExportPerContext("snapshot install");
+  run_phase(60, true);
+
+  cluster_.RunFor(Duration::Seconds(3));
+  EXPECT_TRUE(replicas_[0]->tree().StructurallyEquals(replicas_[1]->tree()));
+  EXPECT_TRUE(replicas_[1]->tree().StructurallyEquals(replicas_[2]->tree()));
+  EXPECT_GT(replicas_[0]->tree().node_count(), 10u);
 }
 
 // --- Auditing -------------------------------------------------------------------

@@ -162,12 +162,11 @@ void CmgrService::AuditGrants() {
       rpc::CallOptions opts;
       opts.timeout = options_.rpc_timeout;
       uint32_t host = binding.ref.endpoint.host;
-      mds.ListSessions(opts).OnReady(
-          [this, claimed, pending,
-           host](const Result<std::vector<SessionInfo>>& sessions) {
-            if (sessions.ok()) {
+      mds.Sync(opts).OnReady(
+          [this, claimed, pending, host](const Result<MdsSync>& sync) {
+            if (sync.ok()) {
               auto& ids = (*claimed)[host];
-              for (const SessionInfo& info : *sessions) {
+              for (const SessionInfo& info : sync->sessions) {
                 ids.insert(info.connection.connection_id);
               }
             }

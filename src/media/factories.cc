@@ -86,10 +86,9 @@ void RegisterMediaServices(svc::ClusterHarness& harness,
   if (deployment.load_board) {
     harness.RegisterServiceType(
         "loadboardd", [deployment](const svc::ServiceContext& ctx) {
-          load::LoadBoardService::Options opts;
-          opts.entry_ttl = deployment.load_board_ttl;
           auto* board = ctx.process.Emplace<load::LoadBoardService>(
-              ctx.process.runtime(), ctx.process.executor(), opts, ctx.metrics);
+              ctx.process.runtime(), ctx.process.executor(),
+              load::LoadBoardService::Options(), ctx.metrics);
           wire::ObjectRef ref = board->Export();
           PublishService(ctx, std::string(load::kLoadBoardName), ref);
         });
@@ -199,9 +198,7 @@ void RegisterMediaServices(svc::ClusterHarness& harness,
           MmsService::Options mms_opts = deployment.mms;
           mms_opts.shard_index = shard;
           mms_opts.shard_map = map;
-          if (mms_opts.admission.pool_bps == 0) {
-            mms_opts.admission.pool_bps = mms_pool_bps;
-          }
+          mms_opts.admission_pool_bps = mms_pool_bps;
           auto* mms = ctx.process.Emplace<MmsService>(
               ctx.process.runtime(), ctx.process.executor(),
               ctx.MakeNameClient(), mms_opts, ctx.metrics);
@@ -222,8 +219,6 @@ void RegisterMediaServices(svc::ClusterHarness& harness,
           hosted.hooks.on_demoted = [mms] { mms->OnDemotedRole(); };
           if (deployment.load_board) {
             hosted.hooks.load_sample = [mms] { return mms->LoadSample(); };
-            hosted.hooks.load_report_interval =
-                deployment.load_report_interval;
           }
           hosted.attach = [mms](svc::ServiceLifecycle* lifecycle) {
             mms->AttachLifecycle(lifecycle);

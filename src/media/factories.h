@@ -52,8 +52,6 @@ struct MediaDeployment {
   // against the sibling shard with the most headroom. Off, a shed open just
   // fails.
   bool load_board = true;
-  Duration load_report_interval = Duration::Seconds(2);
-  Duration load_board_ttl = Duration::Seconds(10);
   // Per-MMS-shard admission pool. -1 (auto): with mms_shards > 1, an even
   // split of the cluster's total MDS capacity across shards; unsharded
   // deployments get no pool (admission off, preserving classic behaviour).

@@ -156,8 +156,9 @@ Result<MovieTicket> MdsService::HandleOpen(const std::string& title,
   ticket.stream_id = stream_id;
   ticket.movie = session->ref();
   reserved_bps_ += movie->bitrate_bps;
-  ticket.load_seq = ++load_seq_;
+  ++load_seq_;
   sessions_[stream_id] = std::move(session);
+  ticket.load = CurrentLoad();
   Count("mds.open");
   return ticket;
 }
@@ -229,17 +230,13 @@ void MdsService::Dispatch(uint32_t method_id, const wire::Bytes& args,
     case kMdsMethodSync:
       return rpc::ReplyWith(
           reply, MdsSync{library_, CurrentLoad(), DescribeSessions()});
-    case kMdsMethodListSessions:
-      return rpc::ReplyWith(reply, DescribeSessions());
     case kMdsMethodClose: {
       uint64_t stream_id = 0;
       if (!rpc::DecodeArgs(args, &stream_id)) {
         return rpc::ReplyBadArgs(reply);
       }
       HandleClose(stream_id);
-      // Reply with the post-close load sequence: the MMS uses it to retire
-      // its optimistic decrement once a snapshot covers the close.
-      return rpc::ReplyWith(reply, load_seq_);
+      return rpc::ReplyWith(reply, CurrentLoad());
     }
     default:
       return rpc::ReplyBadMethod(reply, method_id);

@@ -28,12 +28,11 @@ namespace itv::media {
 inline constexpr std::string_view kMdsInterface = "itv.MediaDelivery";
 inline constexpr std::string_view kMovieInterface = "itv.Movie";
 
-// Id 3 (the retired standalone load read) stays unassigned: tools label
-// per-method traffic by id.
+// Ids 3 and 4 (the retired standalone load and session reads) stay
+// unassigned: tools label per-method traffic by id.
 enum MdsMethod : uint32_t {
   kMdsMethodOpen = 1,
   kMdsMethodSync = 2,
-  kMdsMethodListSessions = 4,
   kMdsMethodClose = 5,
 };
 
@@ -47,9 +46,9 @@ struct MdsLoad {
   uint32_t active_streams = 0;
   int64_t reserved_bps = 0;
   int64_t capacity_bps = 0;
-  // Load sequence: bumped by the MDS on every open/close/reclaim, so an MMS
-  // can order a snapshot against its own optimistic deltas (mms.h) instead
-  // of blindly adjusting a figure the snapshot may already include.
+  // Load sequence: bumped by the MDS on every open/close/reclaim. Every
+  // reply that carries an MdsLoad (Open, Sync, Close) describes the replica
+  // at this sequence, so an MMS keeps whichever reply is newest (mms.h).
   uint64_t seq = 0;
 
   friend bool operator==(const MdsLoad&, const MdsLoad&) = default;
@@ -71,9 +70,8 @@ inline void WireRead(wire::Reader& r, MdsLoad* l) {
 struct MovieTicket {
   uint64_t stream_id = 0;
   wire::ObjectRef movie;
-  // The MDS load sequence AFTER this open was granted: any load snapshot at
-  // or past it already includes the stream (see MdsLoad::seq).
-  uint64_t load_seq = 0;
+  // The replica's load right after this open was granted.
+  MdsLoad load;
 
   friend bool operator==(const MovieTicket&, const MovieTicket&) = default;
 };
@@ -81,14 +79,12 @@ struct MovieTicket {
 inline void WireWrite(wire::Writer& w, const MovieTicket& t) {
   w.WriteU64(t.stream_id);
   WireWrite(w, t.movie);
-  w.WriteU64(t.load_seq);
+  WireWrite(w, t.load);
 }
 inline void WireRead(wire::Reader& r, MovieTicket* t) {
   t->stream_id = r.ReadU64();
   WireRead(r, &t->movie);
-  // Trailing, legacy-optional — MovieTicket is only decoded standalone as
-  // the Open reply.
-  t->load_seq = r.remaining() > 0 ? r.ReadU64() : 0;
+  WireRead(r, &t->load);
 }
 
 struct SessionInfo {
@@ -116,8 +112,8 @@ inline void WireRead(wire::Reader& r, SessionInfo* s) {
 
 // One replica's state as the MMS needs it (paper Figure 4 step 4 and
 // Section 10.1.1): what it can serve, how loaded it is, and which sessions it
-// holds, read in one reply so all three describe the same instant. Every
-// session listed is covered by `load.seq`.
+// holds, read in one reply so all three describe the same instant, the one
+// at `load.seq`. The connection manager's grant audit reads the sessions.
 struct MdsSync {
   std::vector<MovieInfo> titles;
   MdsLoad load;
@@ -147,16 +143,9 @@ class MdsProxy : public rpc::Proxy {
   Future<MdsSync> Sync(const rpc::CallOptions& options = {}) const {
     return rpc::DecodeReply<MdsSync>(Call(kMdsMethodSync, {}, options));
   }
-  // Sessions only: the connection manager's grant audit.
-  Future<std::vector<SessionInfo>> ListSessions(
-      const rpc::CallOptions& options = {}) const {
-    return rpc::DecodeReply<std::vector<SessionInfo>>(
-        Call(kMdsMethodListSessions, {}, options));
-  }
-  // Returns the MDS load sequence AFTER the close took effect, so the caller
-  // can retire its optimistic decrement once a snapshot covers it.
-  Future<uint64_t> Close(uint64_t stream_id) const {
-    return rpc::DecodeReply<uint64_t>(
+  // Returns the replica's load right after the close.
+  Future<MdsLoad> Close(uint64_t stream_id) const {
+    return rpc::DecodeReply<MdsLoad>(
         Call(kMdsMethodClose, rpc::EncodeArgs(stream_id)));
   }
 };
@@ -216,7 +205,6 @@ class MdsService : public rpc::Skeleton {
 
   size_t active_streams() const { return sessions_.size(); }
   int64_t reserved_bps() const { return reserved_bps_; }
-  uint64_t load_seq() const { return load_seq_; }
   const std::vector<MovieInfo>& library() const { return library_; }
 
  private:

@@ -8,6 +8,15 @@
 
 namespace itv::media {
 
+namespace {
+
+// Paper Figure 4 step 10 / Section 9.7: the MMS polls the RAS about settops
+// that hold open movies.
+constexpr Duration kRasPollInterval = Duration::Seconds(10);
+constexpr Duration kRpcTimeout = Duration::Seconds(2);
+
+}  // namespace
+
 MmsService::MmsService(rpc::ObjectRuntime& runtime, Executor& executor,
                        naming::NameClient name_client, Options options,
                        Metrics* metrics)
@@ -17,16 +26,15 @@ MmsService::MmsService(rpc::ObjectRuntime& runtime, Executor& executor,
       options_(options),
       metrics_(metrics),
       bindings_(runtime, name_client_.PathResolverFn()),
-      admission_(options.admission),
-      next_session_id_(runtime.incarnation() << 20) {}
+      admission_({.pool_bps = options.admission_pool_bps}) {}
 
 MmsService::~MmsService() = default;
 
 void MmsService::Start() {
   ref_ = runtime_.Export(this);
   ras::AuditClient::Options audit_opts;
-  audit_opts.poll_interval = options_.ras_poll_interval;
-  audit_opts.rpc_timeout = options_.rpc_timeout;
+  audit_opts.poll_interval = kRasPollInterval;
+  audit_opts.rpc_timeout = kRpcTimeout;
   audit_ = std::make_unique<ras::AuditClient>(
       runtime_, executor_, ras::RasRefAt(runtime_.local_endpoint().host),
       audit_opts);
@@ -67,7 +75,7 @@ void MmsService::OnDemotedRole() {
   // Keep the session table — it is exactly the warm-standby state — but drop
   // every RAS watch: a demoted replica observing a settop death must not race
   // the new primary to reclaim the session's resources.
-  for (auto& [id, session] : sessions_) {
+  for (auto& [movie, session] : sessions_) {
     if (session.watch != 0) {
       audit_->Unwatch(session.watch);
       session.watch = 0;
@@ -96,14 +104,14 @@ void MmsService::AdoptShardMap(const wire::ShardMap& map) {
 }
 
 size_t MmsService::DrainMovedSessions() {
-  std::vector<uint64_t> moved;
-  for (const auto& [id, session] : sessions_) {
+  std::vector<wire::ObjectRef> moved;
+  for (const auto& [movie, session] : sessions_) {
     if (!OwnsSettop(session.settop_host)) {
-      moved.push_back(id);
+      moved.push_back(movie);
     }
   }
-  for (uint64_t id : moved) {
-    auto it = sessions_.find(id);
+  for (const wire::ObjectRef& movie : moved) {
+    auto it = sessions_.find(movie);
     // Hand off, do not reclaim: the watch drops and the entry leaves the
     // table, but the MDS stream keeps playing and the connection grant stays
     // held for the destination shard's primary to adopt. Backups dropping
@@ -121,34 +129,10 @@ size_t MmsService::DrainMovedSessions() {
 
 // --- MDS directory -------------------------------------------------------------
 
-MdsLoad MmsService::MdsReplica::EffectiveLoad() const {
-  MdsLoad out = load;
-  for (const LoadDelta& delta : pending) {
-    out.reserved_bps += delta.bps;
-    int64_t streams = static_cast<int64_t>(out.active_streams) + delta.streams;
-    out.active_streams = streams < 0 ? 0 : static_cast<uint32_t>(streams);
+void MmsService::MdsReplica::AdoptLoad(const MdsLoad& reported) {
+  if (reported.seq > load.seq) {
+    load = reported;
   }
-  if (out.reserved_bps < 0) {
-    out.reserved_bps = 0;
-  }
-  return out;
-}
-
-bool MmsService::MdsReplica::ClosedAfter(uint64_t stream_id,
-                                         uint64_t seq) const {
-  return std::any_of(pending.begin(), pending.end(),
-                     [stream_id, seq](const LoadDelta& delta) {
-                       return delta.closed_stream == stream_id &&
-                              (delta.covered_seq == 0 || delta.covered_seq > seq);
-                     });
-}
-
-void MmsService::ApplyLoadSnapshot(MdsReplica& replica,
-                                   const MdsLoad& snapshot) {
-  replica.load = snapshot;
-  std::erase_if(replica.pending, [&snapshot](const LoadDelta& delta) {
-    return delta.covered_seq != 0 && delta.covered_seq <= snapshot.seq;
-  });
 }
 
 int64_t MmsService::BitrateOf(const std::string& title) const {
@@ -192,13 +176,14 @@ void MmsService::SyncRound(bool register_watches,
       MdsReplica& replica = mds_[binding.name];
       if (replica.ref != binding.ref) {
         // New incarnation bound (restart): nothing of the old one carries
-        // over — its load sequence, deltas and titles died with it.
+        // over — its load sequence, closes in flight and titles died with
+        // it.
         replica = MdsReplica{};
         replica.name = binding.name;
         replica.ref = binding.ref;
       }
       rpc::CallOptions opts;
-      opts.timeout = options_.rpc_timeout;
+      opts.timeout = kRpcTimeout;
       MdsProxy(runtime_, binding.ref)
           .Sync(opts)
           .OnReady([this, name = binding.name, ref = binding.ref,
@@ -233,8 +218,8 @@ void MmsService::ApplySync(MdsReplica& replica, const MdsSync& sync,
   for (const MovieInfo& movie : sync.titles) {
     replica.titles[movie.title] = movie;
   }
-  ApplyLoadSnapshot(replica, sync.load);
-  AdoptSessions(replica, sync.sessions, sync.load.seq, register_watches);
+  replica.load = sync.load;
+  AdoptSessions(replica, sync.sessions, register_watches);
 }
 
 std::vector<MmsService::MdsReplica*> MmsService::CandidatesFor(
@@ -251,9 +236,8 @@ std::vector<MmsService::MdsReplica*> MmsService::CandidatesFor(
     if (saw_title != nullptr) {
       *saw_title = true;
     }
-    MdsLoad effective = replica.EffectiveLoad();
-    if (effective.reserved_bps + movie->second.bitrate_bps >
-        effective.capacity_bps) {
+    if (replica.load.reserved_bps + movie->second.bitrate_bps >
+        replica.load.capacity_bps) {
       continue;  // No disk/NIC bandwidth left on that server.
     }
     candidates.push_back(&replica);
@@ -261,8 +245,7 @@ std::vector<MmsService::MdsReplica*> MmsService::CandidatesFor(
   // "based on... the current loads at servers": least reserved first.
   std::sort(candidates.begin(), candidates.end(),
             [](const MdsReplica* a, const MdsReplica* b) {
-              return a->EffectiveLoad().reserved_bps <
-                     b->EffectiveLoad().reserved_bps;
+              return a->load.reserved_bps < b->load.reserved_bps;
             });
   return candidates;
 }
@@ -367,8 +350,6 @@ void MmsService::FinishOpen(MdsReplica* replica, const std::string& title,
                             rpc::ReplyFn reply) {
   // Step 6: open the movie on the chosen MDS replica.
   MdsProxy mds(runtime_, replica->ref);
-  rpc::CallOptions opts;
-  opts.timeout = options_.rpc_timeout;
   std::string mds_name = replica->name;
   wire::ObjectRef mds_ref = replica->ref;
   mds.Open(title, settop_host, grant, sink)
@@ -399,41 +380,32 @@ void MmsService::FinishOpen(MdsReplica* replica, const std::string& title,
           return rpc::ReplyError(reply, ticket.status());
         }
 
-        Session session;
-        session.session_id = ++next_session_id_;
-        session.title = title;
-        session.settop_host = settop_host;
-        session.mds_name = mds_name;
-        session.mds_ref = mds_ref;
-        session.stream_id = ticket->stream_id;
-        session.open_seq = ticket->load_seq;
-        session.movie = ticket->movie;
-        session.connection = grant;
-        // Step 9-10: watch the settop through the RAS; reclaim on death.
-        session.watch = audit_->Watch(
-            ras::EntityId::Settop(settop_host),
-            [this, settop_host](const ras::EntityId&) { OnSettopDead(settop_host); });
-        uint64_t session_id = session.session_id;
-        // Optimistically bump the cached load so rapid-fire opens spread — a
-        // pending delta, retired once a snapshot reaches the open's load_seq
-        // (snapshots at or past it already include the stream).
-        auto it = mds_.find(mds_name);
-        if (it != mds_.end()) {
-          auto movie = it->second.titles.find(title);
-          if (movie != it->second.titles.end() &&
-              ticket->load_seq > it->second.load.seq) {
-            LoadDelta delta;
-            delta.covered_seq = ticket->load_seq;
-            delta.bps = movie->second.bitrate_bps;
-            delta.streams = 1;
-            it->second.pending.push_back(delta);
-          }
+        auto replica = mds_.find(mds_name);
+        if (replica != mds_.end() && replica->second.ref == mds_ref) {
+          replica->second.AdoptLoad(ticket->load);
         }
-        sessions_[session_id] = std::move(session);
+        auto [it, inserted] = sessions_.try_emplace(ticket->movie);
+        Session& session = it->second;
+        if (inserted) {
+          session.settop_host = settop_host;
+          session.mds_name = mds_name;
+          session.mds_ref = mds_ref;
+          session.stream_id = ticket->stream_id;
+          session.connection = grant;
+        } else {
+          // A sync reply that overtook this one already adopted the stream
+          // and charged admission for it: this open's grant is a duplicate.
+          admission_.Release(grant.downstream_bps);
+          Count("mms.open_overtaken");
+        }
+        if (session.watch == 0) {
+          // Step 9-10: watch the settop through the RAS; reclaim on death.
+          WatchSettop(session);
+        }
         Count("mms.open_ok");
 
         MmsTicket out;
-        out.session_id = session_id;
+        out.session_id = ticket->stream_id;
         out.stream_id = ticket->stream_id;
         out.movie = ticket->movie;
         out.mds_host = mds_ref.endpoint.host;
@@ -444,18 +416,16 @@ void MmsService::FinishOpen(MdsReplica* replica, const std::string& title,
 // --- Close / reclamation -----------------------------------------------------------
 
 void MmsService::HandleClose(const wire::ObjectRef& movie, rpc::ReplyFn reply) {
-  for (const auto& [id, session] : sessions_) {
-    if (session.movie == movie) {
-      ReclaimSession(id, /*tell_mds=*/true);
-      Count("mms.close");
-      return rpc::ReplyOk(reply);
-    }
+  if (sessions_.count(movie) == 0) {
+    return rpc::ReplyError(reply, NotFoundError("unknown movie session"));
   }
-  return rpc::ReplyError(reply, NotFoundError("unknown movie session"));
+  ReclaimSession(movie, /*tell_mds=*/true);
+  Count("mms.close");
+  return rpc::ReplyOk(reply);
 }
 
-void MmsService::ReclaimSession(uint64_t session_id, bool tell_mds) {
-  auto it = sessions_.find(session_id);
+void MmsService::ReclaimSession(const wire::ObjectRef& movie, bool tell_mds) {
+  auto it = sessions_.find(movie);
   if (it == sessions_.end()) {
     return;
   }
@@ -468,52 +438,27 @@ void MmsService::ReclaimSession(uint64_t session_id, bool tell_mds) {
   admission_.Release(session.connection.downstream_bps);
 
   if (tell_mds) {
-    // Reflect the freed load locally right away — but as a pending delta,
-    // not the old blind decrement, which double-subtracted whenever a close
-    // raced a load refresh (the refresh already included the close, then the
-    // decrement landed on top). The delta starts unconfirmed (covered_seq 0);
-    // the Close reply's post-close sequence tags it so the next covering
-    // snapshot retires it. Until then it also keeps a sync reply written
-    // before the close from re-adopting the stream.
+    // The freed load shows once the Close reply (or a later sync) reports
+    // it. Until that reply lands the stream is `closing`, which keeps a sync
+    // reply written before the close from re-adopting it.
     uint64_t stream_id = session.stream_id;
     auto replica = mds_.find(session.mds_name);
     if (replica != mds_.end() && replica->second.ref == session.mds_ref) {
-      auto movie = replica->second.titles.find(session.title);
-      LoadDelta delta;
-      delta.bps = movie == replica->second.titles.end()
-                      ? 0
-                      : -movie->second.bitrate_bps;
-      delta.streams = -1;
-      delta.closed_stream = stream_id;
-      replica->second.pending.push_back(delta);
+      replica->second.closing.insert(stream_id);
     }
     // "it tells the MDS to deallocate movie resources" (Section 3.4.5).
-    MdsProxy mds(runtime_, session.mds_ref);
-    std::string mds_name = session.mds_name;
-    wire::ObjectRef mds_ref = session.mds_ref;
-    mds.Close(stream_id)
-        .OnReady([this, mds_name, mds_ref,
-                  stream_id](const Result<uint64_t>& seq) {
+    MdsProxy(runtime_, session.mds_ref)
+        .Close(stream_id)
+        .OnReady([this, mds_name = session.mds_name, mds_ref = session.mds_ref,
+                  stream_id](const Result<MdsLoad>& load) {
           auto it = mds_.find(mds_name);
           if (it == mds_.end() || it->second.ref != mds_ref) {
-            return;  // Replica entry rebuilt; the delta died with it.
+            return;  // Replica entry rebuilt; its closing set died with it.
           }
-          auto& pending = it->second.pending;
-          auto delta = std::find_if(
-              pending.begin(), pending.end(), [stream_id](const LoadDelta& d) {
-                return d.closed_stream == stream_id;
-              });
-          if (delta == pending.end()) {
-            return;
+          it->second.closing.erase(stream_id);
+          if (load.ok()) {
+            it->second.AdoptLoad(*load);
           }
-          if (!seq.ok() || *seq <= it->second.load.seq) {
-            // Close failed (the next snapshot is authoritative; dropping the
-            // decrement errs on the pessimistic side) or a covering snapshot
-            // already landed.
-            pending.erase(delta);
-            return;
-          }
-          delta->covered_seq = *seq;
         });
   }
   // "...and tells the connection manager to deallocate network bandwidth."
@@ -528,18 +473,26 @@ void MmsService::ReclaimSession(uint64_t session_id, bool tell_mds) {
           [](Result<void>) {});
 }
 
+void MmsService::WatchSettop(Session& session) {
+  session.watch = audit_->Watch(
+      ras::EntityId::Settop(session.settop_host),
+      [this, host = session.settop_host](const ras::EntityId&) {
+        OnSettopDead(host);
+      });
+}
+
 void MmsService::OnSettopDead(uint32_t settop_host) {
   Count("mms.settop_reclaim");
   ITV_LOG(Info) << "mms: settop " << settop_host
                 << " reported dead; reclaiming its sessions";
-  std::vector<uint64_t> doomed;
-  for (const auto& [id, session] : sessions_) {
+  std::vector<wire::ObjectRef> doomed;
+  for (const auto& [movie, session] : sessions_) {
     if (session.settop_host == settop_host) {
-      doomed.push_back(id);
+      doomed.push_back(movie);
     }
   }
-  for (uint64_t id : doomed) {
-    ReclaimSession(id, /*tell_mds=*/true);
+  for (const wire::ObjectRef& movie : doomed) {
+    ReclaimSession(movie, /*tell_mds=*/true);
   }
 }
 
@@ -547,23 +500,21 @@ void MmsService::OnSettopDead(uint32_t settop_host) {
 
 void MmsService::AdoptSessions(const MdsReplica& replica,
                                const std::vector<SessionInfo>& sessions,
-                               uint64_t sessions_seq, bool register_watches) {
-  const std::string& mds_name = replica.name;
-  const wire::ObjectRef& mds_ref = replica.ref;
-  std::set<uint64_t> reported;
+                               bool register_watches) {
+  std::set<wire::ObjectRef> reported;
   for (const SessionInfo& info : sessions) {
-    reported.insert(info.stream_id);
+    reported.insert(info.movie);
   }
-  // Drop sessions whose stream this MDS no longer holds although the reply
-  // is at least as new as the stream: it closed through another shard (a
-  // sibling-opened session closed before its handoff), the MDS reclaimed it,
-  // or the MDS restarted. A passive (pre-warmed) record just leaves the
+  // Drop sessions of this replica the reply does not list: the stream closed
+  // through another shard (a sibling-opened session closed before its
+  // handoff), the MDS reclaimed it, or the MDS restarted. The reply is at
+  // least as new as every such session, since ApplySync drops replies older
+  // than the replica's load. A passive (pre-warmed) record just leaves the
   // table; a watched one is reclaimed, which releases its connection.
-  std::vector<uint64_t> gone;
+  std::vector<wire::ObjectRef> gone;
   for (auto it = sessions_.begin(); it != sessions_.end();) {
     const Session& session = it->second;
-    if (session.mds_name != mds_name || session.open_seq > sessions_seq ||
-        reported.count(session.stream_id) > 0) {
+    if (session.mds_name != replica.name || reported.count(it->first) > 0) {
       ++it;
     } else if (session.watch != 0) {
       gone.push_back(it->first);
@@ -574,8 +525,8 @@ void MmsService::AdoptSessions(const MdsReplica& replica,
       Count("mms.session_stale_pruned");
     }
   }
-  for (uint64_t id : gone) {
-    ReclaimSession(id, /*tell_mds=*/false);
+  for (const wire::ObjectRef& movie : gone) {
+    ReclaimSession(movie, /*tell_mds=*/false);
     Count("mms.session_gone_reclaimed");
   }
   for (const SessionInfo& info : sessions) {
@@ -584,54 +535,34 @@ void MmsService::AdoptSessions(const MdsReplica& replica,
       // here would double-watch (and double-reclaim) across shards.
       continue;
     }
-    if (replica.ClosedAfter(info.stream_id, sessions_seq)) {
+    if (replica.closing.count(info.stream_id) > 0) {
       // We closed it after the MDS wrote this reply; re-adopting it would
       // leave a session whose settop watch never fires.
       Count("mms.session_closing_skipped");
       continue;
     }
-    Session* existing = nullptr;
-    for (auto& [id, session] : sessions_) {
-      if (session.stream_id == info.stream_id && session.mds_name == mds_name) {
-        existing = &session;
-        break;
-      }
-    }
-    if (existing != nullptr) {
-      existing->mds_ref = mds_ref;  // Track MDS restarts across refreshes.
-      if (register_watches && existing->watch == 0) {
+    auto [it, inserted] = sessions_.try_emplace(info.movie);
+    Session& session = it->second;
+    if (!inserted) {
+      if (register_watches && session.watch == 0) {
         // Pre-warmed passively; promotion upgrades it to a watched session,
         // which is this replica's adoption of it.
-        existing->watch = audit_->Watch(
-            ras::EntityId::Settop(existing->settop_host),
-            [this, host = existing->settop_host](const ras::EntityId&) {
-              OnSettopDead(host);
-            });
+        WatchSettop(session);
         Count("mms.session_adopted");
       }
       continue;
     }
-    Session session;
-    session.session_id = ++next_session_id_;
-    session.title = info.title;
     session.settop_host = info.settop_host;
-    session.mds_name = mds_name;
-    session.mds_ref = mds_ref;
+    session.mds_name = replica.name;
+    session.mds_ref = replica.ref;
     session.stream_id = info.stream_id;
-    session.movie = info.movie;
     session.connection = info.connection;
-    session.open_seq = sessions_seq;
     // Admitted elsewhere (a previous primary's tenure or another shard);
     // its stream is live, so account it without re-judging the pool.
     admission_.Adopt(info.connection.downstream_bps);
     if (register_watches) {
-      session.watch = audit_->Watch(
-          ras::EntityId::Settop(info.settop_host),
-          [this, host = info.settop_host](const ras::EntityId&) {
-            OnSettopDead(host);
-          });
+      WatchSettop(session);
     }
-    sessions_[session.session_id] = std::move(session);
     Count(register_watches ? "mms.session_adopted" : "mms.session_prewarmed");
   }
 }
@@ -665,7 +596,7 @@ void MmsService::Dispatch(uint32_t method_id, const wire::Bytes& args,
     case kMmsMethodListSessionHosts: {
       std::vector<uint32_t> hosts;
       hosts.reserve(sessions_.size());
-      for (const auto& [id, session] : sessions_) {
+      for (const auto& [movie, session] : sessions_) {
         hosts.push_back(session.settop_host);
       }
       return rpc::ReplyWith(reply, hosts);

@@ -7,13 +7,19 @@
 //   5-7. opens the movie on the chosen MDS and returns the movie object,
 //   9-10. polls the RAS about the settop and reclaims everything if it dies.
 //
-// Everything the MMS knows about the MDS replicas comes from one sync round:
-// one ListRepl("svc/mds") plus one MdsProxy::Sync per replica, whose reply
-// carries the replica's titles, its load (with the load sequence) and its
-// sessions. A replica that answers is alive; the round refreshes its
-// directory entry, reconciles its load and adopts its sessions. The primary
-// runs a round every refresh tick; backups run one only from the lifecycle
-// hooks below.
+// Everything the MMS knows about the MDS replicas is what they said. One sync
+// round is one ListRepl("svc/mds") plus one MdsProxy::Sync per replica, whose
+// reply carries the replica's titles, its load (with the load sequence) and
+// its sessions. A replica that answers is alive; the round refreshes its
+// directory entry, takes its load and adopts its sessions. Open and Close
+// replies carry the replica's load too, and the newest of all three replies
+// is the load the MMS balances with: there is no local estimate to reconcile.
+// The primary runs a round every refresh tick; backups run one only from the
+// lifecycle hooks below.
+//
+// Sessions are keyed by their movie object, the identity the MDS minted for
+// the stream: an Open reply and a Sync reply that both describe one stream
+// land on one table entry, whichever arrives first.
 //
 // Replication: primary/backup (Section 5.2) with NO replicated state — "the
 // volatile state of the MMS can be reconstructed by querying each MDS in the
@@ -65,6 +71,8 @@ enum MmsMethod : uint32_t {
 };
 
 struct MmsTicket {
+  // Non-zero for a granted open (the MDS stream id); the MMS itself keys the
+  // session by `movie`.
   uint64_t session_id = 0;
   uint64_t stream_id = 0;
   wire::ObjectRef movie;
@@ -96,9 +104,8 @@ class MmsProxy : public rpc::Proxy {
     return rpc::DecodeReply<MmsTicket>(
         Call(kMmsMethodOpen, rpc::EncodeArgs(title, settop_host, sink)));
   }
-  // Close is keyed by the movie object so it stays valid across an MMS
-  // fail-over (a promoted primary adopts sessions with fresh session ids,
-  // but the movie object lives in the MDS and is stable).
+  // Close is keyed by the movie object, the MMS's session key: it lives in
+  // the MDS, so it stays valid across an MMS fail-over.
   Future<void> Close(const wire::ObjectRef& movie) const {
     return rpc::DecodeEmptyReply(Call(kMmsMethodClose, rpc::EncodeArgs(movie)));
   }
@@ -127,10 +134,6 @@ class MmsService : public rpc::Skeleton {
  public:
   struct Options {
     Duration mds_refresh_interval = Duration::Seconds(5);
-    // Paper Figure 4 step 10 / Section 9.7: the MMS polls the RAS about
-    // settops that hold open movies.
-    Duration ras_poll_interval = Duration::Seconds(10);
-    Duration rpc_timeout = Duration::Seconds(2);
     // Shard this instance serves. With a sharded map, fail-over adoption
     // only claims sessions whose settop hashes to this shard — the other
     // shards' primaries own the rest (ROADMAP "Service resharding"). The
@@ -139,9 +142,9 @@ class MmsService : public rpc::Skeleton {
     // AdoptShardMap below.
     uint32_t shard_index = 0;
     wire::ShardMap shard_map;
-    // Per-shard grant budget. pool_bps 0 (the default) disables shard-level
+    // Per-shard grant budget. 0 (the default) disables shard-level
     // admission; the MDS capacity check then remains the only gate.
-    load::AdmissionController::Options admission;
+    int64_t admission_pool_bps = 0;
   };
 
   MmsService(rpc::ObjectRuntime& runtime, Executor& executor,
@@ -192,50 +195,30 @@ class MmsService : public rpc::Skeleton {
                 const rpc::CallContext& ctx, rpc::ReplyFn reply) override;
 
  private:
-  // An optimistic load adjustment the MMS applied locally (open granted /
-  // close issued) that the latest authoritative snapshot may not cover yet.
-  // `covered_seq` is the MDS load sequence at or past which a snapshot
-  // already includes the change; 0 = not yet known (close reply in flight).
-  struct LoadDelta {
-    uint64_t covered_seq = 0;
-    int64_t bps = 0;
-    int32_t streams = 0;
-    // The closed stream, on close deltas (0 on opens). A sync reply older
-    // than the close still lists it; the round must not re-adopt it.
-    uint64_t closed_stream = 0;
-  };
-
   struct MdsReplica {
     std::string name;  // Binding name under svc/mds.
     wire::ObjectRef ref;
     bool alive = false;
     std::map<std::string, MovieInfo> titles;
-    // Last authoritative snapshot (from a Sync reply), plus the optimistic
-    // deltas not yet covered by it. The old single-field scheme (blind += /
-    // -= against whatever snapshot last landed) double-counted whenever a
-    // close raced a refresh; sequence reconciliation replaces it.
+    // The newest load this replica reported, from a Sync, Open or Close
+    // reply (AdoptLoad).
     MdsLoad load;
-    std::vector<LoadDelta> pending;
+    // Streams whose Close is still in flight. A Sync reply written before
+    // the close may still list them; the round must not re-adopt them. Once
+    // the Close reply lands, its load sequence makes every such reply stale.
+    std::set<uint64_t> closing;
 
-    MdsLoad EffectiveLoad() const;
-    // Whether a Sync reply covering load sequence `seq` predates our close
-    // of `stream_id` (close reply not back yet, or confirmed past `seq`).
-    bool ClosedAfter(uint64_t stream_id, uint64_t seq) const;
+    // Takes `reported` if it is newer than `load`.
+    void AdoptLoad(const MdsLoad& reported);
   };
 
   struct Session {
-    uint64_t session_id = 0;
-    std::string title;
     uint32_t settop_host = 0;
     std::string mds_name;
     uint64_t stream_id = 0;
-    wire::ObjectRef movie;
     wire::ObjectRef mds_ref;
     ConnectionGrant connection;
     ras::AuditClient::WatchId watch = 0;
-    // An MDS load sequence at which the stream was open: a sync reply at or
-    // past it that does not list the stream proves the stream is gone.
-    uint64_t open_seq = 0;
   };
 
   // One sync round (see the header comment): `done` (optional) fires once
@@ -245,9 +228,6 @@ class MmsService : public rpc::Skeleton {
   // refreshes its titles, load and sessions from `sync`.
   void ApplySync(MdsReplica& replica, const MdsSync& sync,
                  bool register_watches);
-  // Adopts an authoritative load snapshot and retires every pending delta it
-  // covers.
-  void ApplyLoadSnapshot(MdsReplica& replica, const MdsLoad& snapshot);
   // Bitrate of `title` per the freshest live inventory, or 0 if unknown.
   int64_t BitrateOf(const std::string& title) const;
   // Candidates able to serve `title` now, best (least loaded) first.
@@ -267,11 +247,13 @@ class MmsService : public rpc::Skeleton {
                   std::vector<MdsReplica*> candidates, size_t index,
                   rpc::ReplyFn reply);
   void HandleClose(const wire::ObjectRef& movie, rpc::ReplyFn reply);
-  void ReclaimSession(uint64_t session_id, bool tell_mds);
+  void ReclaimSession(const wire::ObjectRef& movie, bool tell_mds);
+  // Registers the RAS watch that reclaims `session` when its settop dies.
+  void WatchSettop(Session& session);
   void OnSettopDead(uint32_t settop_host);
   void AdoptSessions(const MdsReplica& replica,
                      const std::vector<SessionInfo>& sessions,
-                     uint64_t sessions_seq, bool register_watches);
+                     bool register_watches);
 
   // Drops every session this shard no longer owns under the current map
   // (watch removed, table entry erased, MDS stream and grant untouched).
@@ -295,14 +277,14 @@ class MmsService : public rpc::Skeleton {
   const svc::ServiceLifecycle* lifecycle_ = nullptr;
   std::unique_ptr<ras::AuditClient> audit_;
   std::map<std::string, MdsReplica> mds_;
-  std::map<uint64_t, Session> sessions_;
+  // Keyed by the stream's movie object.
+  std::map<wire::ObjectRef, Session> sessions_;
   // Per-neighborhood connection managers, routed by settop host: with
   // sharded CMgrs the settop's budget lives on exactly one shard, so every
   // Allocate/Release for a settop must land there.
   rpc::BindingTable bindings_;
-  // Per-shard grant budget (disabled unless Options::admission.pool_bps set).
+  // Per-shard grant budget (disabled unless Options::admission_pool_bps set).
   load::AdmissionController admission_;
-  uint64_t next_session_id_;
   PeriodicTimer refresh_timer_;
 };
 

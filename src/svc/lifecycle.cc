@@ -10,6 +10,9 @@ namespace itv::svc {
 
 namespace {
 
+// How often a primary with a load_sample hook reports to the load board.
+constexpr Duration kLoadReportInterval = Duration::Seconds(2);
+
 std::string ParentOf(const std::string& path) {
   size_t slash = path.rfind('/');
   return slash == std::string::npos ? std::string() : path.substr(0, slash);
@@ -245,7 +248,7 @@ void ServiceLifecycle::StartLoadReporter() {
   if (load_reporter_ == nullptr) {
     load_reporter_ = std::make_unique<load::LoadReporter>(
         process_.runtime(), executor(), client_.PathResolverFn(), path_,
-        hooks_.load_report_interval, hooks_.load_sample, metrics_);
+        kLoadReportInterval, hooks_.load_sample, metrics_);
   }
   load_reporter_->Start();
 }

@@ -99,11 +99,10 @@ class ServiceLifecycle {
     std::function<bool()> external_role;
     // Load-board publication (src/load): while Primary, the lifecycle runs a
     // load::LoadReporter that samples this and reports to the cluster load
-    // board under the lifecycle's path, every load_report_interval. Demotion
-    // and Stop() halt the reporting, so the board only ever hears from the
-    // replica that owns the name.
+    // board under the lifecycle's path, every 2 s. Demotion and Stop() halt
+    // the reporting, so the board only ever hears from the replica that owns
+    // the name.
     std::function<load::LoadReport()> load_sample;
-    Duration load_report_interval = Duration::Seconds(2);
   };
 
   // `path` is the service name to contest (or, in external_role mode, the

@@ -916,5 +916,78 @@ TEST_F(MediaSurfTest, SurfingLeavesNoSessionsBehind) {
   EXPECT_GT(metrics().Get("mms.session_closing_skipped"), 0u);
 }
 
+class MediaReorderTest : public MediaTest {
+ protected:
+  MediaReorderTest() : MediaTest(ReorderDeployment()) {}
+
+  static MediaDeployment ReorderDeployment() {
+    MediaDeployment deploy = DefaultDeployment();
+    deploy.mds_capacity_bps = 400'000'000;
+    // A pool turns on the shard's admission ledger so it can be audited.
+    deploy.mms_admission_pool_bps = 400'000'000;
+    deploy.mms.mds_refresh_interval = Duration::Millis(500);
+    return deploy;
+  }
+};
+
+TEST_F(MediaReorderTest, SyncReplyOvertakingAnOpenReplyLeavesOneSession) {
+  // Reorder faults hold replies back while the primary syncs every 0.5 s, so
+  // a sync reply the MDS wrote after an open can reach the MMS before that
+  // open's reply. Both describe one stream: the MMS must hold it once and
+  // charge its admission pool for it once.
+  constexpr int64_t kBitrateBps = 3'000'000;
+  cluster().network().SeedFaultRng(5);
+  std::vector<settop::VodApp*> viewers;
+  for (int i = 0; i < 16; ++i) {
+    sim::Node& settop = harness_.AddSettop(static_cast<uint8_t>(1 + i % 2));
+    sim::Process& p = settop.Spawn("viewer");
+    viewers.push_back(p.Emplace<settop::VodApp>(
+        p.runtime(), p.executor(), harness_.ClientFor(p),
+        settop::VodApp::Options(), &metrics()));
+  }
+  sim::Process& probe = harness_.SpawnProcessOn(0, "probe");
+  auto ref = harness_.ClientFor(probe).Resolve(std::string(kMmsName));
+  cluster().RunFor(Duration::Seconds(2));
+  ASSERT_TRUE(ref.is_ready() && ref.result().ok());
+  MmsProxy mms(probe.runtime(), ref.result().value());
+
+  for (int batch = 0; batch < 12; ++batch) {
+    sim::NetworkFaultOptions faults;
+    faults.reorder_rate = 0.5;
+    faults.reorder_hold_min = Duration::Millis(20);
+    faults.reorder_hold_max = Duration::Millis(200);
+    cluster().network().SetFaultInjection(faults);
+    for (size_t i = 0; i < viewers.size(); ++i) {
+      cluster().scheduler().ScheduleAfter(
+          Duration::Millis(static_cast<int64_t>(37 * i)), [&, i] {
+            viewers[i]->PlayMovie(i % 3 == 0 ? "solo" : "T2", [](Status) {});
+          });
+    }
+    cluster().RunFor(Duration::Seconds(3));
+    cluster().network().ClearFaultInjection();
+    cluster().RunFor(Duration::Seconds(2));  // A few fault-free rounds.
+
+    auto held = mms.ListSessions();
+    auto admission = mms.GetAdmission();
+    cluster().RunFor(Duration::Seconds(1));
+    ASSERT_TRUE(held.is_ready() && held.result().ok());
+    ASSERT_TRUE(admission.is_ready() && admission.result().ok());
+    auto load1 = LoadOfMds(0);
+    auto load2 = LoadOfMds(1);
+    ASSERT_TRUE(load1.ok() && load2.ok());
+    uint32_t streams = load1->active_streams + load2->active_streams;
+    EXPECT_EQ(*held.result(), streams) << "batch " << batch;
+    EXPECT_EQ(admission.result()->reserved_bps, streams * kBitrateBps)
+        << "batch " << batch;
+
+    for (settop::VodApp* vod : viewers) {
+      vod->Stop();
+    }
+    cluster().RunFor(Duration::Seconds(2));
+  }
+  // The race did happen.
+  EXPECT_GT(metrics().Get("mms.open_overtaken"), 0u);
+}
+
 }  // namespace
 }  // namespace itv::media

@@ -332,21 +332,24 @@ TEST(MediaWireTest, MovieTicketRoundTripAndLegacyDecode) {
   in.movie.incarnation = 3;
   in.movie.type_id = TypeIdFromName("itv.Movie");
   in.movie.object_id = 12;
-  in.load_seq = 1234;
+  in.load.active_streams = 4;
+  in.load.reserved_bps = 12'000'000;
+  in.load.capacity_bps = 48'000'000;
+  in.load.seq = 1234;
   Bytes b = EncodeValue(in);
   media::MovieTicket out;
   ASSERT_TRUE(DecodeValue(b, &out));
   EXPECT_EQ(out, in);
 
-  // Pre-load_seq encoding: stream id + movie ref only.
+  // The pre-load encodings (stream id + movie ref, then + a bare load
+  // sequence) no longer decode.
   Writer w;
   w.WriteU64(in.stream_id);
   WireWrite(w, in.movie);
   media::MovieTicket legacy;
-  ASSERT_TRUE(DecodeValue(w.bytes(), &legacy));
-  EXPECT_EQ(legacy.stream_id, in.stream_id);
-  EXPECT_EQ(legacy.movie, in.movie);
-  EXPECT_EQ(legacy.load_seq, 0u);
+  EXPECT_FALSE(DecodeValue(w.bytes(), &legacy));
+  w.WriteU64(in.load.seq);
+  EXPECT_FALSE(DecodeValue(w.bytes(), &legacy));
 }
 
 TEST(LoadWireTest, LoadReportRoundTrip) {

@@ -202,106 +202,36 @@ TrialResult RunTrials(const Params& params, int trials, uint64_t seed) {
   return out;
 }
 
-// --- E1b: warm vs cold standby recovery --------------------------------------
-//
-// A replica whose promotion must rebuild state before it may serve: recovery
-// replays kRecoveryRecords at kRecoveryRecordMs apply cost each (the MMS
-// pattern — "the MMS can be reconstructed by querying each MDS", Section
-// 10.1.1). The cold standby replays everything at promotion; the warm standby
-// pre-applies records every 10 s while Backup, so promotion only replays the
-// (empty) delta. The decomposition comes from trace::FailoverTimeline, whose
-// fourth stage (bind.primary -> role.promote) is exactly the RecoverState
-// component the lifecycle adds.
-
-constexpr int kRecoveryRecords = 400;
-constexpr int64_t kRecoveryRecordMs = 25;  // 400 x 25 ms = 10 s cold replay.
-
-struct RecoveryTrialResult {
-  Histogram detect_s;
-  Histogram unbind_s;
-  Histogram rebind_s;
-  Histogram recover_s;
-  Histogram total_s;  // Crash -> role.promote (backup serves as primary).
-  int failures = 0;
-  std::string sample_report;
+// Settops streaming through a VodApp each, with the jittered-backoff posture
+// real settops carry, started one every 200 ms round-robin over the
+// neighborhoods; settop i plays "movie-<i % titles>".
+struct Viewers {
+  std::vector<settop::VodApp*> vods;
+  std::vector<uint32_t> hosts;
 };
 
-RecoveryTrialResult RunRecoveryTrials(bool warm, int trials, uint64_t seed) {
-  RecoveryTrialResult out;
-  Rng rng(seed);
-  for (int trial = 0; trial < trials; ++trial) {
-    svc::HarnessOptions opts;
-    opts.server_count = 3;
-    opts.ns.audit_interval = Duration::Seconds(10);
-    opts.ras.peer_poll_interval = Duration::Seconds(5);
-    opts.ras.peer_failures_to_dead = 1;
-    opts.ras.rpc_timeout = Duration::Seconds(1);
-    opts.start_csc = false;
-    svc::ClusterHarness harness(opts);
-    harness.Boot();
-
-    auto spawn_replica = [&](size_t server_index) {
-      sim::Process& p = harness.SpawnProcessOn(server_index, "target");
-      auto* skeleton = p.Emplace<svc::SettopManagerService>(p.executor());
-      wire::ObjectRef ref = p.runtime().Export(skeleton);
-      svc::ServiceLifecycle::Options lc_opts;
-      lc_opts.binder.retry_interval = Duration::Seconds(10);
-      lc_opts.warm_standby_interval = Duration::Seconds(10);
-      auto* lifecycle = p.Emplace<svc::ServiceLifecycle>(
-          p, harness.ClientFor(p), "svc/target", ref, lc_opts,
-          &harness.metrics());
-      // Records already applied on this replica, by a warm pass or an earlier
-      // promotion; recovery replays only the remainder.
-      auto applied = std::make_shared<int>(0);
-      svc::ServiceLifecycle::Hooks hooks;
-      hooks.ready_objects = {ref};
-      hooks.recover = [&p, applied](std::function<void(Status)> done) {
-        int todo = kRecoveryRecords - *applied;
-        *applied = kRecoveryRecords;
-        p.executor().ScheduleAfter(Duration::Millis(kRecoveryRecordMs * todo),
-                                   [done] { done(OkStatus()); });
-      };
-      if (warm) {
-        hooks.warm_standby = [&p, applied](std::function<void(Status)> done) {
-          int todo = kRecoveryRecords - *applied;
-          p.executor().ScheduleAfter(
-              Duration::Millis(kRecoveryRecordMs * todo), [applied, done] {
-                *applied = kRecoveryRecords;
-                done(OkStatus());
-              });
-        };
-      }
-      lifecycle->Start(std::move(hooks));
-    };
-
-    // Primary binds and runs its own (cold) recovery before serving.
-    spawn_replica(1);
-    harness.cluster().RunFor(Duration::Seconds(16));
-    // Backup: its first warm pass starts one interval in and replays the full
-    // state, so give it time to finish before the crash window opens.
-    spawn_replica(2);
-    harness.cluster().RunFor(Duration::Seconds(22));
-
-    // Crash at a pseudo-random phase of the polling clocks.
-    harness.cluster().RunFor(Duration::Seconds(rng.NextDouble() * 30.0));
-    Time crash_at = harness.cluster().Now();
-    harness.server(1).Crash();
-    harness.cluster().RunFor(Duration::Seconds(45));
-
-    trace::FailoverTimeline timeline = trace::FailoverTimeline::Reconstruct(
-        harness.cluster().trace_buffer().Snapshot(), crash_at, "svc/target");
-    if (!timeline.complete() || !timeline.promoted_at.has_value()) {
-      ++out.failures;
-      continue;
-    }
-    out.detect_s.Record(timeline.detect_delay().seconds());
-    out.unbind_s.Record(timeline.unbind_delay().seconds());
-    out.rebind_s.Record(timeline.rebind_delay().seconds());
-    out.recover_s.Record(timeline.recover_delay().seconds());
-    out.total_s.Record((*timeline.promoted_at - crash_at).seconds());
-    if (out.sample_report.empty()) {
-      out.sample_report = timeline.Report();
-    }
+Viewers StartViewers(svc::ClusterHarness& harness, size_t count,
+                     size_t titles) {
+  Viewers out;
+  const size_t neighborhoods = harness.options().neighborhood_count;
+  for (size_t i = 0; i < count; ++i) {
+    uint8_t nb = static_cast<uint8_t>(1 + (i % neighborhoods));
+    sim::Node& settop = harness.AddSettop(nb);
+    out.hosts.push_back(settop.host());
+    sim::Process& p = settop.Spawn("viewer");
+    settop::VodApp::Options vopts;
+    vopts.mms_rebind.max_attempts = 50;
+    vopts.mms_rebind.initial_backoff = Duration::Millis(500);
+    vopts.mms_rebind.backoff_multiplier = 1.2;
+    vopts.mms_rebind.backoff_jitter = 0.25;
+    vopts.mms_rebind.jitter_seed = i + 1;
+    vopts.mms_rebind.deadline = Duration::Seconds(30);
+    auto* vod = p.Emplace<settop::VodApp>(p.runtime(), p.executor(),
+                                          harness.ClientFor(p), vopts,
+                                          &harness.metrics());
+    vod->PlayMovie("movie-" + std::to_string(i % titles), [](Status) {});
+    out.vods.push_back(vod);
+    harness.cluster().RunFor(Duration::Millis(200));
   }
   return out;
 }
@@ -315,16 +245,28 @@ RecoveryTrialResult RunRecoveryTrials(bool warm, int trials, uint64_t seed) {
 // within the paper's 25 s bound (it re-binds to the promoted backup on
 // another host); the other three shards must keep answering with ZERO
 // rebinds — the blast radius of a shard kill is exactly one shard.
+//
+// With `viewers` streaming settops the killed shard holds sessions, and its
+// backups hold none of them: the promoted replica rebuilds its table in the
+// recover hook's one sync round. That round is the state-recovery stage of
+// trace::FailoverTimeline (bind.primary -> role.promote), and every session
+// the shard held before the kill must be held again after it.
+
+// Streaming settops in E1c's second run.
+constexpr size_t kShardKillViewers = 32;
 
 struct ShardKillResult {
   double killed_recovery_s = -1;     // Kill -> first successful routed call.
   uint64_t killed_shard_rebinds = 0;
   uint64_t other_shard_rebinds = 0;  // Summed over surviving shards.
   bool others_answered = false;      // Survivors answered during the outage.
+  uint32_t held = 0;       // Sessions on the killed shard before the kill.
+  uint32_t adopted = 0;    // Sessions on it once it answers again.
+  double recover_s = -1;   // The promoted replica's state-recovery stage.
   bool ok = false;
 };
 
-ShardKillResult RunShardKill() {
+ShardKillResult RunShardKill(size_t viewers) {
   ShardKillResult out;
   constexpr uint32_t kShards = 4;
   constexpr size_t kServers = 4;
@@ -349,6 +291,10 @@ ShardKillResult RunShardKill() {
   media::RegisterMediaServices(harness, deploy);
   harness.Boot();
   harness.cluster().RunFor(Duration::Seconds(20));
+  if (viewers > 0) {
+    StartViewers(harness, viewers, deploy.movies.size());
+    harness.cluster().RunFor(Duration::Seconds(12));
+  }
 
   sim::Process& client = harness.SpawnProcessOn(0, "probe");
   naming::NameClient nc = harness.ClientFor(client);
@@ -393,6 +339,9 @@ ShardKillResult RunShardKill() {
     if (!r.ok()) {
       return out;
     }
+    if (s == 0) {
+      out.held = *r;
+    }
   }
   std::vector<uint64_t> baseline(kShards, 0);
   for (uint32_t s = 0; s < kShards; ++s) {
@@ -430,9 +379,32 @@ ShardKillResult RunShardKill() {
                            Duration::Seconds(5));
     if (r.ok()) {
       out.killed_recovery_s = (harness.cluster().Now() - kill_at).seconds();
+      out.adopted = *r;
       break;
     }
     harness.cluster().RunFor(Duration::Millis(500));
+  }
+
+  // A process kill leaves the host up, so no ras.peer_dead starts the
+  // timeline; only its last two markers are looked up.
+  const std::string shard_path = wire::ShardPath(media::kMmsName, 0, map);
+  trace::FailoverTimeline timeline;
+  timeline.kill_time = kill_at;
+  for (const trace::TraceEvent& e :
+       harness.cluster().trace_buffer().Snapshot()) {
+    if (e.begin < kill_at) {
+      continue;
+    }
+    if (!timeline.rebound_at.has_value()) {
+      if (e.name == trace::kEventBindPrimary && e.detail == shard_path) {
+        timeline.rebound_at = e.begin;
+      }
+    } else if (e.name == trace::kEventRolePromote &&
+               e.detail.starts_with(shard_path + " ")) {
+      timeline.promoted_at = e.begin;
+      out.recover_s = timeline.recover_delay().seconds();
+      break;
+    }
   }
 
   for (uint32_t s = 0; s < kShards; ++s) {
@@ -446,7 +418,8 @@ ShardKillResult RunShardKill() {
     }
   }
   out.ok = out.killed_recovery_s >= 0 && out.others_answered &&
-           out.other_shard_rebinds == 0;
+           out.other_shard_rebinds == 0 && out.recover_s >= 0 &&
+           out.adopted == out.held;
   return out;
 }
 
@@ -506,29 +479,10 @@ ReshardBenchResult RunLiveReshard(size_t settop_count) {
   ReshardBenchResult out;
   out.viewers = settop_count;
 
-  // The streaming population: one VodApp per settop, playing through the
-  // binding table with the jittered-backoff posture real settops carry.
-  std::vector<settop::VodApp*> vods;
-  std::vector<uint32_t> viewer_hosts;
-  for (size_t i = 0; i < settop_count; ++i) {
-    uint8_t nb = static_cast<uint8_t>(1 + (i % kServers));
-    sim::Node& settop = harness.AddSettop(nb);
-    viewer_hosts.push_back(settop.host());
-    sim::Process& p = settop.Spawn("viewer");
-    settop::VodApp::Options vopts;
-    vopts.mms_rebind.max_attempts = 50;
-    vopts.mms_rebind.initial_backoff = Duration::Millis(500);
-    vopts.mms_rebind.backoff_multiplier = 1.2;
-    vopts.mms_rebind.backoff_jitter = 0.25;
-    vopts.mms_rebind.jitter_seed = i + 1;
-    vopts.mms_rebind.deadline = Duration::Seconds(30);
-    auto* vod = p.Emplace<settop::VodApp>(p.runtime(), p.executor(),
-                                          harness.ClientFor(p), vopts,
-                                          &harness.metrics());
-    vod->PlayMovie("movie-" + std::to_string(i % 40), [](Status) {});
-    vods.push_back(vod);
-    harness.cluster().RunFor(Duration::Millis(200));
-  }
+  // The streaming population: one VodApp per settop.
+  Viewers viewers = StartViewers(harness, settop_count, deploy.movies.size());
+  const std::vector<settop::VodApp*>& vods = viewers.vods;
+  const std::vector<uint32_t>& viewer_hosts = viewers.hosts;
   harness.cluster().RunFor(Duration::Seconds(12));
   for (settop::VodApp* vod : vods) {
     out.playing_before += vod->playing() ? 1 : 0;
@@ -714,71 +668,46 @@ int main() {
       "name-service lookups.\n");
 
   bench::PrintHeader(
-      "E1b: warm vs cold standby recovery (ServiceLifecycle, paper defaults)");
-  std::printf(
-      "promotion must replay %d records at %lld ms each (%.0f s cold); the "
-      "warm standby\npre-applies them every 10 s while Backup. total = crash "
-      "-> role.promote, decomposed\nby trace::FailoverTimeline into detect / "
-      "audit-unbind / rebind / state-recovery:\n\n",
-      kRecoveryRecords, static_cast<long long>(kRecoveryRecordMs),
-      kRecoveryRecords * kRecoveryRecordMs / 1000.0);
-  bench::PrintRow({"standby", "detect_mean", "unbind_mean", "rebind_mean",
-                   "recover_mean", "recover_max", "total_p50", "total_max",
-                   "paper_bound_s", "trials_ok"});
-  constexpr int kRecoveryTrials = 12;
-  for (bool warm : {false, true}) {
-    RecoveryTrialResult r = RunRecoveryTrials(warm, kRecoveryTrials,
-                                              /*seed=*/7);
-    const char* label = warm ? "warm" : "cold";
-    bench::PrintRow(
-        {label, bench::Fmt("%.1f", r.detect_s.Mean()),
-         bench::Fmt("%.1f", r.unbind_s.Mean()),
-         bench::Fmt("%.1f", r.rebind_s.Mean()),
-         bench::Fmt("%.1f", r.recover_s.Mean()),
-         bench::Fmt("%.1f", r.recover_s.Max()),
-         bench::Fmt("%.1f", r.total_s.Percentile(50)),
-         bench::Fmt("%.1f", r.total_s.Max()), bench::Fmt("%.0f", 25.0),
-         bench::FmtInt(static_cast<uint64_t>(r.total_s.count()))});
-    std::string prefix = warm ? "warm_" : "cold_";
-    report.Set(prefix + "recover_mean_s", r.recover_s.Mean());
-    report.Set(prefix + "total_max_s", r.total_s.Max());
-    if (warm && !r.sample_report.empty()) {
-      std::printf("\nsample warm-standby timeline (one trial):\n%s",
-                  r.sample_report.c_str());
-    }
-  }
-  std::printf(
-      "\nexpect: the warm standby's recovery component is ~0, keeping the "
-      "whole 25 s bound as\nheadroom; the cold standby pays the full replay "
-      "on top of re-binding, so a worst-case\nphase alignment (bind + audit "
-      "+ poll near their maxima) plus the replay overruns the\nbound. The "
-      "paper's arithmetic only covers re-binding — keeping it honest for "
-      "stateful\nservices is exactly what the warm_standby hook is for.\n");
-
-  bench::PrintHeader(
       "E1c: sharded MMS — single-shard kill blast radius (paper defaults)");
   std::printf(
       "4 servers x 4 MMS shards, primaries staggered one per host; the mmsd "
-      "hosting\nshard 1's primary is killed. The killed shard must answer "
-      "again within the 25 s\nbound; the other shards must keep answering "
-      "with zero rebinds.\n\n");
-  bench::PrintRow({"killed_rec_s", "paper_bound_s", "killed_rebinds",
-                   "other_rebinds", "others_up", "verdict"});
-  ShardKillResult sk = RunShardKill();
-  bench::PrintRow({bench::Fmt("%.1f", sk.killed_recovery_s),
-                   bench::Fmt("%.0f", 25.0),
-                   bench::FmtInt(sk.killed_shard_rebinds),
-                   bench::FmtInt(sk.other_shard_rebinds),
-                   sk.others_answered ? "yes" : "no",
-                   sk.ok ? "pass" : "FAIL"});
-  report.Set("shard_kill_recovery_s", sk.killed_recovery_s);
-  report.SetInt("shard_kill_killed_rebinds", sk.killed_shard_rebinds);
-  report.SetInt("shard_kill_other_rebinds", sk.other_shard_rebinds);
-  report.SetText("shard_kill_verdict", sk.ok ? "pass" : "fail");
+      "hosting\nshard 1's primary is killed, first with no viewers, then with "
+      "%zu streaming settops.\nThe killed shard must answer again within the "
+      "25 s bound, holding every session\nit held (adopted); the other shards "
+      "must keep answering with zero rebinds.\nrecover_s is the promoted "
+      "replica's state-recovery stage (bind.primary ->\nrole.promote): its one "
+      "sync round, since backups hold no sessions.\n\n",
+      kShardKillViewers);
+  bench::PrintRow({"viewers", "killed_rec_s", "paper_bound_s",
+                   "killed_rebinds", "other_rebinds", "others_up", "sessions",
+                   "adopted", "recover_s", "verdict"});
+  for (size_t viewers : {size_t{0}, kShardKillViewers}) {
+    ShardKillResult sk = RunShardKill(viewers);
+    bench::PrintRow({bench::FmtInt(viewers),
+                     bench::Fmt("%.1f", sk.killed_recovery_s),
+                     bench::Fmt("%.0f", 25.0),
+                     bench::FmtInt(sk.killed_shard_rebinds),
+                     bench::FmtInt(sk.other_shard_rebinds),
+                     sk.others_answered ? "yes" : "no", bench::FmtInt(sk.held),
+                     bench::FmtInt(sk.adopted),
+                     bench::Fmt("%.3f", sk.recover_s),
+                     sk.ok ? "pass" : "FAIL"});
+    if (viewers == 0) {
+      report.Set("shard_kill_recovery_s", sk.killed_recovery_s);
+      report.SetInt("shard_kill_killed_rebinds", sk.killed_shard_rebinds);
+      report.SetInt("shard_kill_other_rebinds", sk.other_shard_rebinds);
+      report.SetText("shard_kill_verdict", sk.ok ? "pass" : "fail");
+    } else {
+      report.SetInt("shard_kill_held_sessions", sk.held);
+      report.Set("shard_kill_held_recover_s", sk.recover_s);
+      report.SetText("shard_kill_held_verdict", sk.ok ? "pass" : "fail");
+    }
+  }
   std::printf(
       "\nexpect: killed_rec_s <= 25 (usually far less: detect + audit + "
       "rebind), other_rebinds\n= 0 — per-shard bindings give a shard kill a "
-      "one-shard blast radius.\n");
+      "one-shard blast radius. recover_s is\none sync round (milliseconds), "
+      "held sessions or not.\n");
 
   bench::PrintHeader(
       "E1d: live reshard — 4 -> 8 MMS shards under a streaming population");

@@ -203,17 +203,14 @@ void RegisterMediaServices(svc::ClusterHarness& harness,
               ctx.process.runtime(), ctx.process.executor(),
               ctx.MakeNameClient(), mms_opts, ctx.metrics);
           mms->Start();
-          // The MMS is the showcase warm-standby service: backups pre-adopt
-          // sessions passively on a timer, and promotion's recover hook
-          // registers the RAS watches before the role turns primary.
+          // Backups hold nothing: promotion's recover hook rebuilds the
+          // session table from the MDSes, with RAS watches, before the role
+          // turns primary.
           svc::ShardHost::Shard hosted;
           hosted.ref = mms->ref();
           hosted.hooks.ready_objects = {mms->ref()};
           hosted.hooks.recover = [mms](std::function<void(Status)> done) {
             mms->RecoverState(std::move(done));
-          };
-          hosted.hooks.warm_standby = [mms](std::function<void(Status)> done) {
-            mms->WarmStandby(std::move(done));
           };
           hosted.hooks.on_promoted = [mms] { mms->OnPromoted(); };
           hosted.hooks.on_demoted = [mms] { mms->OnDemotedRole(); };

@@ -41,7 +41,7 @@ void MmsService::Start() {
 
   refresh_timer_.Start(executor_, options_.mds_refresh_interval, [this] {
     if (!is_primary()) {
-      return;  // Backups sync only from WarmStandby.
+      return;  // Backups send no Sync: promotion's RecoverState rebuilds.
     }
     // Sessions opened here by stale-map clients during a reshard cutover
     // (wrong-shard opens) migrate to the owning shard on the next tick.
@@ -53,16 +53,12 @@ void MmsService::Start() {
     // it. Adoption registers the settop watch so a later settop death
     // releases them; a live settop's never-played orphans are reclaimed by
     // the MDS itself (MdsService::Options::unplayed_grace).
-    SyncRound(/*register_watches=*/true, nullptr);
+    SyncRound(nullptr);
   });
 }
 
 void MmsService::RecoverState(std::function<void(Status)> done) {
-  SyncRound(/*register_watches=*/true, std::move(done));
-}
-
-void MmsService::WarmStandby(std::function<void(Status)> done) {
-  SyncRound(/*register_watches=*/false, std::move(done));
+  SyncRound(std::move(done));
 }
 
 void MmsService::OnPromoted() {
@@ -72,15 +68,17 @@ void MmsService::OnPromoted() {
 }
 
 void MmsService::OnDemotedRole() {
-  // Keep the session table — it is exactly the warm-standby state — but drop
-  // every RAS watch: a demoted replica observing a settop death must not race
-  // the new primary to reclaim the session's resources.
+  // A demoted replica keeps nothing. Its watches go first: observing a settop
+  // death, it must not race the new primary to reclaim the session's
+  // resources. The MDS streams and connection grants stay held for the new
+  // primary to adopt; only this shard's admission grants are refunded. The
+  // epoch bump keeps a sync round still in flight from re-adopting them.
+  ++role_epoch_;
   for (auto& [movie, session] : sessions_) {
-    if (session.watch != 0) {
-      audit_->Unwatch(session.watch);
-      session.watch = 0;
-    }
+    audit_->Unwatch(session.watch);
+    admission_.Release(session.connection.downstream_bps);
   }
+  sessions_.clear();
 }
 
 // --- Live reshard -------------------------------------------------------------
@@ -99,7 +97,7 @@ void MmsService::AdoptShardMap(const wire::ShardMap& map) {
     // Pull sessions that moved TO this shard without waiting for the refresh
     // tick: their MDS streams are live and the source shard has already
     // stopped watching them.
-    SyncRound(/*register_watches=*/true, nullptr);
+    SyncRound(nullptr);
   }
 }
 
@@ -114,15 +112,11 @@ size_t MmsService::DrainMovedSessions() {
     auto it = sessions_.find(movie);
     // Hand off, do not reclaim: the watch drops and the entry leaves the
     // table, but the MDS stream keeps playing and the connection grant stays
-    // held for the destination shard's primary to adopt. Backups dropping
-    // their prewarmed copies count separately — only the primary's drain is
-    // a session changing owners.
-    if (it->second.watch != 0) {
-      audit_->Unwatch(it->second.watch);
-    }
+    // held for the destination shard's primary to adopt.
+    audit_->Unwatch(it->second.watch);
     admission_.Release(it->second.connection.downstream_bps);
     sessions_.erase(it);
-    Count(is_primary() ? "mms.session_handoff" : "mms.session_handoff_passive");
+    Count("mms.session_handoff");
   }
   return moved.size();
 }
@@ -145,9 +139,9 @@ int64_t MmsService::BitrateOf(const std::string& title) const {
   return 0;
 }
 
-void MmsService::SyncRound(bool register_watches,
-                           std::function<void(Status)> done) {
-  name_client_.ListRepl("svc/mds").OnReady([this, register_watches, done](
+void MmsService::SyncRound(std::function<void(Status)> done) {
+  uint64_t epoch = role_epoch_;
+  name_client_.ListRepl("svc/mds").OnReady([this, epoch, done](
                                                const Result<naming::BindingList>&
                                                    r) {
     if (!r.ok()) {
@@ -186,13 +180,12 @@ void MmsService::SyncRound(bool register_watches,
       opts.timeout = kRpcTimeout;
       MdsProxy(runtime_, binding.ref)
           .Sync(opts)
-          .OnReady([this, name = binding.name, ref = binding.ref,
-                    register_watches, pending,
-                    done](const Result<MdsSync>& sync) {
+          .OnReady([this, name = binding.name, ref = binding.ref, epoch,
+                    pending, done](const Result<MdsSync>& sync) {
             auto it = mds_.find(name);
             if (it != mds_.end() && it->second.ref == ref) {
               if (sync.ok()) {
-                ApplySync(it->second, *sync, register_watches);
+                ApplySync(it->second, *sync, epoch == role_epoch_);
               } else {
                 it->second.alive = false;
               }
@@ -206,7 +199,7 @@ void MmsService::SyncRound(bool register_watches,
 }
 
 void MmsService::ApplySync(MdsReplica& replica, const MdsSync& sync,
-                           bool register_watches) {
+                           bool adopt) {
   replica.alive = true;
   if (sync.load.seq < replica.load.seq) {
     // Overtaken by a newer reply (two rounds in flight): its load and
@@ -219,7 +212,9 @@ void MmsService::ApplySync(MdsReplica& replica, const MdsSync& sync,
     replica.titles[movie.title] = movie;
   }
   replica.load = sync.load;
-  AdoptSessions(replica, sync.sessions, register_watches);
+  if (adopt) {
+    AdoptSessions(replica, sync.sessions);
+  }
 }
 
 std::vector<MmsService::MdsReplica*> MmsService::CandidatesFor(
@@ -392,15 +387,14 @@ void MmsService::FinishOpen(MdsReplica* replica, const std::string& title,
           session.mds_ref = mds_ref;
           session.stream_id = ticket->stream_id;
           session.connection = grant;
-        } else {
-          // A sync reply that overtook this one already adopted the stream
-          // and charged admission for it: this open's grant is a duplicate.
-          admission_.Release(grant.downstream_bps);
-          Count("mms.open_overtaken");
-        }
-        if (session.watch == 0) {
           // Step 9-10: watch the settop through the RAS; reclaim on death.
           WatchSettop(session);
+        } else {
+          // A sync reply that overtook this one already adopted (and
+          // watched) the stream and charged admission for it: this open's
+          // grant is a duplicate.
+          admission_.Release(grant.downstream_bps);
+          Count("mms.open_overtaken");
         }
         Count("mms.open_ok");
 
@@ -431,9 +425,7 @@ void MmsService::ReclaimSession(const wire::ObjectRef& movie, bool tell_mds) {
   }
   Session session = std::move(it->second);
   sessions_.erase(it);
-  if (session.watch != 0) {
-    audit_->Unwatch(session.watch);
-  }
+  audit_->Unwatch(session.watch);
 
   admission_.Release(session.connection.downstream_bps);
 
@@ -499,8 +491,7 @@ void MmsService::OnSettopDead(uint32_t settop_host) {
 // --- Session adoption ---------------------------------------------------------
 
 void MmsService::AdoptSessions(const MdsReplica& replica,
-                               const std::vector<SessionInfo>& sessions,
-                               bool register_watches) {
+                               const std::vector<SessionInfo>& sessions) {
   std::set<wire::ObjectRef> reported;
   for (const SessionInfo& info : sessions) {
     reported.insert(info.movie);
@@ -509,20 +500,11 @@ void MmsService::AdoptSessions(const MdsReplica& replica,
   // through another shard (a sibling-opened session closed before its
   // handoff), the MDS reclaimed it, or the MDS restarted. The reply is at
   // least as new as every such session, since ApplySync drops replies older
-  // than the replica's load. A passive (pre-warmed) record just leaves the
-  // table; a watched one is reclaimed, which releases its connection.
+  // than the replica's load. Reclaiming it releases its connection.
   std::vector<wire::ObjectRef> gone;
-  for (auto it = sessions_.begin(); it != sessions_.end();) {
-    const Session& session = it->second;
-    if (session.mds_name != replica.name || reported.count(it->first) > 0) {
-      ++it;
-    } else if (session.watch != 0) {
-      gone.push_back(it->first);
-      ++it;
-    } else {
-      admission_.Release(session.connection.downstream_bps);
-      it = sessions_.erase(it);
-      Count("mms.session_stale_pruned");
+  for (const auto& [movie, session] : sessions_) {
+    if (session.mds_name == replica.name && reported.count(movie) == 0) {
+      gone.push_back(movie);
     }
   }
   for (const wire::ObjectRef& movie : gone) {
@@ -542,16 +524,10 @@ void MmsService::AdoptSessions(const MdsReplica& replica,
       continue;
     }
     auto [it, inserted] = sessions_.try_emplace(info.movie);
-    Session& session = it->second;
     if (!inserted) {
-      if (register_watches && session.watch == 0) {
-        // Pre-warmed passively; promotion upgrades it to a watched session,
-        // which is this replica's adoption of it.
-        WatchSettop(session);
-        Count("mms.session_adopted");
-      }
       continue;
     }
+    Session& session = it->second;
     session.settop_host = info.settop_host;
     session.mds_name = replica.name;
     session.mds_ref = replica.ref;
@@ -560,10 +536,8 @@ void MmsService::AdoptSessions(const MdsReplica& replica,
     // Admitted elsewhere (a previous primary's tenure or another shard);
     // its stream is live, so account it without re-judging the pool.
     admission_.Adopt(info.connection.downstream_bps);
-    if (register_watches) {
-      WatchSettop(session);
-    }
-    Count(register_watches ? "mms.session_adopted" : "mms.session_prewarmed");
+    WatchSettop(session);
+    Count("mms.session_adopted");
   }
 }
 

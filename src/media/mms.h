@@ -14,8 +14,8 @@
 // directory entry, takes its load and adopts its sessions. Open and Close
 // replies carry the replica's load too, and the newest of all three replies
 // is the load the MMS balances with: there is no local estimate to reconcile.
-// The primary runs a round every refresh tick; backups run one only from the
-// lifecycle hooks below.
+// Only the primary runs rounds: one every refresh tick, and the one
+// RecoverState runs on winning the binding. Backups send no Sync.
 //
 // Sessions are keyed by their movie object, the identity the MDS minted for
 // the stream: an Open reply and a Sync reply that both describe one stream
@@ -25,10 +25,9 @@
 // volatile state of the MMS can be reconstructed by querying each MDS in the
 // cluster and by querying the Connection Manager" (Section 10.1.1). The
 // launcher's ServiceLifecycle drives this: RecoverState runs a round on
-// winning the binding (before the role turns primary) and registers RAS
-// watches; WarmStandby periodically runs a passive round (no watches) while
-// backup, so promotion only has to diff against a warm table instead of
-// rebuilding from scratch.
+// winning the binding (before the role turns primary), and that round is the
+// only path that fills the table of a replica that was not primary. A backup
+// holds no sessions and no watches; demotion empties the table.
 //
 // MDS replica health (Section 3.5.2): "Once an attempt to open a movie from
 // an MDS replica fails, the MMS assumes that the replica is dead. The MMS
@@ -157,14 +156,13 @@ class MmsService : public rpc::Skeleton {
   // ServiceLifecycle, which drives the hooks below.
   void Start();
 
-  // Lifecycle hooks. RecoverState runs a sync round that registers RAS
-  // watches; `done` fires when every replica has answered (or failed).
-  // WarmStandby runs the same round passively — no watches, and sessions an
-  // MDS no longer reports are dropped — keeping the backup's table fresh.
-  // OnDemotedRole cancels every watch but keeps the table as warm state (a
-  // demoted replica must not reclaim sessions the new primary owns).
+  // Lifecycle hooks. RecoverState runs a sync round that adopts every
+  // session the MDSes report for this shard, each with its RAS watch; `done`
+  // fires when every replica has answered (or failed). OnDemotedRole drops
+  // every watch, refunds every admission grant and empties the table: a
+  // demoted replica must not reclaim sessions the new primary owns, and a
+  // round it started before the demotion adopts nothing when it lands.
   void RecoverState(std::function<void(Status)> done);
-  void WarmStandby(std::function<void(Status)> done);
   void OnPromoted();
   void OnDemotedRole();
 
@@ -185,6 +183,7 @@ class MmsService : public rpc::Skeleton {
   }
   wire::ObjectRef ref() const { return ref_; }
   size_t session_count() const { return sessions_.size(); }
+  size_t watch_count() const { return audit_->watch_count(); }
   size_t known_mds_count() const { return mds_.size(); }
   const load::AdmissionController& admission() const { return admission_; }
   // The sample this shard publishes to the cluster load board while primary.
@@ -222,12 +221,13 @@ class MmsService : public rpc::Skeleton {
   };
 
   // One sync round (see the header comment): `done` (optional) fires once
-  // every replica has answered or failed.
-  void SyncRound(bool register_watches, std::function<void(Status)> done);
+  // every replica has answered or failed. A round that a demotion overtook
+  // still refreshes liveness, titles and load, but adopts no sessions.
+  void SyncRound(std::function<void(Status)> done);
   // Marks the replica alive and, unless a newer reply already landed,
-  // refreshes its titles, load and sessions from `sync`.
-  void ApplySync(MdsReplica& replica, const MdsSync& sync,
-                 bool register_watches);
+  // refreshes its titles and load from `sync`, and its sessions too when
+  // `adopt` is set.
+  void ApplySync(MdsReplica& replica, const MdsSync& sync, bool adopt);
   // Bitrate of `title` per the freshest live inventory, or 0 if unknown.
   int64_t BitrateOf(const std::string& title) const;
   // Candidates able to serve `title` now, best (least loaded) first.
@@ -252,8 +252,7 @@ class MmsService : public rpc::Skeleton {
   void WatchSettop(Session& session);
   void OnSettopDead(uint32_t settop_host);
   void AdoptSessions(const MdsReplica& replica,
-                     const std::vector<SessionInfo>& sessions,
-                     bool register_watches);
+                     const std::vector<SessionInfo>& sessions);
 
   // Drops every session this shard no longer owns under the current map
   // (watch removed, table entry erased, MDS stream and grant untouched).
@@ -275,6 +274,9 @@ class MmsService : public rpc::Skeleton {
 
   wire::ObjectRef ref_;
   const svc::ServiceLifecycle* lifecycle_ = nullptr;
+  // Bumped by OnDemotedRole. A sync round captures it at its start and adopts
+  // sessions only if no demotion happened since.
+  uint64_t role_epoch_ = 0;
   std::unique_ptr<ras::AuditClient> audit_;
   std::map<std::string, MdsReplica> mds_;
   // Keyed by the stream's movie object.

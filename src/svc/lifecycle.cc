@@ -12,6 +12,10 @@ namespace {
 
 // How often a primary with a load_sample hook reports to the load board.
 constexpr Duration kLoadReportInterval = Duration::Seconds(2);
+// Back-off before re-contesting the binding after a failed recovery.
+constexpr Duration kRecoverRetry = Duration::Seconds(2);
+// Poll cadence of the external_role probe.
+constexpr Duration kProbeInterval = Duration::Seconds(1);
 
 std::string ParentOf(const std::string& path) {
   size_t slash = path.rfind('/');
@@ -75,7 +79,7 @@ void ServiceLifecycle::Start(Hooks hooks) {
   }
   if (hooks_.external_role) {
     SetRole(ServiceRole::kBackup);
-    probe_timer_.Start(executor(), options_.probe_interval,
+    probe_timer_.Start(executor(), kProbeInterval,
                        [this] { ProbeExternalRole(); });
     ProbeExternalRole();
     return;
@@ -89,8 +93,6 @@ void ServiceLifecycle::Stop() {
   }
   ++epoch_;
   recover_in_flight_ = false;
-  warm_in_flight_ = false;
-  warm_timer_.Stop();
   probe_timer_.Stop();
   StopLoadReporter();
   if (binder_ != nullptr) {
@@ -121,8 +123,7 @@ void ServiceLifecycle::EnsureContexts() {
           return;
         }
         BeginElection();
-      },
-      options_.ensure_retry, options_.ensure_max_attempts);
+      });
 }
 
 void ServiceLifecycle::BeginElection() {
@@ -132,11 +133,6 @@ void ServiceLifecycle::BeginElection() {
         executor(), client_, path_, ref_, options_.binder);
   }
   binder_->Start([this] { OnWonBinding(); }, [this] { DemoteRole(); });
-  if (hooks_.warm_standby && options_.warm_standby_interval > Duration() &&
-      !warm_timer_.running()) {
-    warm_timer_.Start(executor(), options_.warm_standby_interval,
-                      [this] { WarmTick(); });
-  }
 }
 
 void ServiceLifecycle::RestartElection() {
@@ -176,7 +172,7 @@ void ServiceLifecycle::OnWonBinding() {
     ++epoch_;
     binder_->Stop();
     SetRole(ServiceRole::kBackup);
-    executor().ScheduleAfter(options_.recover_retry,
+    executor().ScheduleAfter(kRecoverRetry,
                              [this] { RestartElection(); });
   });
 }
@@ -219,26 +215,6 @@ void ServiceLifecycle::DemoteRole() {
   }
   // The binder (or probe) keeps contesting on its own; we are a backup again.
   SetRole(ServiceRole::kBackup);
-}
-
-void ServiceLifecycle::WarmTick() {
-  if (role_ != ServiceRole::kBackup || warm_in_flight_) {
-    return;
-  }
-  if (binder_ != nullptr && binder_->is_primary()) {
-    return;  // Promotion in flight; recovery owns the state now.
-  }
-  warm_in_flight_ = true;
-  hooks_.warm_standby([this](Status s) {
-    warm_in_flight_ = false;
-    if (role_ == ServiceRole::kStopped) {
-      return;
-    }
-    if (s.ok()) {
-      ++warm_standby_runs_;
-      Count("svc.role.warm_standby");
-    }
-  });
 }
 
 void ServiceLifecycle::StartLoadReporter() {

@@ -20,9 +20,11 @@
 //                   reconstructed by querying each MDS", Section 10.1.1).
 //                   Failure steps back out of the election: the binding is
 //                   released and re-contested after a back-off, so a replica
-//                   that cannot recover never claims primaryship.
-//   warm_standby    optional periodic pre-recovery while Backup, so the
-//                   state a promotion must rebuild stays small and fresh
+//                   that cannot recover never claims primaryship. This is the
+//                   only state-building path: a backup holds nothing, and
+//                   promotion rebuilds everything from the state's owners
+//                   (as MSCS brings a resource online on the node taking it
+//                   over, Vogels et al.).
 //   on_promoted / on_demoted
 //                   role-edge notifications (start/stop primary-only timers)
 //   external_role   services whose election is internal (the NS master
@@ -65,16 +67,6 @@ class ServiceLifecycle {
  public:
   struct Options {
     naming::PrimaryBinder::Options binder;
-    // Parent-context creation (naming::EnsureContextPath).
-    Duration ensure_retry = Duration::Seconds(2);
-    int ensure_max_attempts = 100;
-    // Cadence of the warm_standby hook while Backup; zero disables it even
-    // when the hook is set.
-    Duration warm_standby_interval = Duration::Seconds(10);
-    // Back-off before re-contesting the binding after a failed recovery.
-    Duration recover_retry = Duration::Seconds(2);
-    // Poll cadence of the external_role probe.
-    Duration probe_interval = Duration::Seconds(1);
     // Shard annotation for sharded services (e.g. "shard=3/4"). Appended to
     // the role.promote / role.demote / role.recover trace details so
     // trace::FailoverTimeline can attribute a promotion to the right shard;
@@ -89,9 +81,6 @@ class ServiceLifecycle {
     // State recovery, run on winning the binding; the role stays Backup (and
     // is_primary() false) until `done` reports OK.
     std::function<void(std::function<void(Status)> done)> recover;
-    // Optional periodic pre-recovery while Backup (never runs as Primary or
-    // while a promotion is in flight).
-    std::function<void(std::function<void(Status)> done)> warm_standby;
     std::function<void()> on_promoted;
     std::function<void()> on_demoted;
     // When set, no binder runs: the role mirrors this probe instead
@@ -134,7 +123,6 @@ class ServiceLifecycle {
   uint64_t promotions() const { return promotions_; }
   uint64_t demotions() const { return demotions_; }
   uint64_t recover_failures() const { return recover_failures_; }
-  uint64_t warm_standby_runs() const { return warm_standby_runs_; }
   naming::PrimaryBinder* binder() { return binder_.get(); }
   load::LoadReporter* load_reporter() { return load_reporter_.get(); }
 
@@ -147,7 +135,6 @@ class ServiceLifecycle {
   void OnWonBinding();
   void FinishPromotion(Time recover_begin);
   void DemoteRole();
-  void WarmTick();
   void ProbeExternalRole();
   void StartLoadReporter();
   void StopLoadReporter();
@@ -166,9 +153,7 @@ class ServiceLifecycle {
   ServiceRole role_ = ServiceRole::kStopped;
   std::unique_ptr<naming::PrimaryBinder> binder_;
   std::unique_ptr<load::LoadReporter> load_reporter_;
-  PeriodicTimer warm_timer_;
   PeriodicTimer probe_timer_;
-  bool warm_in_flight_ = false;
   bool recover_in_flight_ = false;
   // Bumped on demotion and stop: in-flight recover/ensure callbacks from an
   // older epoch are void (stop-during-recovery must not promote).
@@ -177,7 +162,6 @@ class ServiceLifecycle {
   uint64_t promotions_ = 0;
   uint64_t demotions_ = 0;
   uint64_t recover_failures_ = 0;
-  uint64_t warm_standby_runs_ = 0;
 };
 
 }  // namespace itv::svc

@@ -1,7 +1,7 @@
 // ServiceLifecycle role state machine tests: promotion, demotion and
-// re-promotion through the name-space election; the warm-standby cadence;
-// failed recovery stepping back out of the election; and stop-during-recovery
-// never promoting (the epoch guard).
+// re-promotion through the name-space election; failed recovery stepping
+// back out of the election; and stop-during-recovery never promoting (the
+// epoch guard).
 
 #include <gtest/gtest.h>
 
@@ -31,12 +31,10 @@ class LifecycleTest : public ::testing::Test {
     return opts;
   }
 
-  // Tight cadences so elections settle in a few simulated seconds.
+  // A tight bind retry so elections settle in a few simulated seconds.
   static ServiceLifecycle::Options FastOptions() {
     ServiceLifecycle::Options options;
     options.binder.retry_interval = Duration::Seconds(1);
-    options.recover_retry = Duration::Millis(500);
-    options.warm_standby_interval = Duration::Seconds(1);
     return options;
   }
 
@@ -120,43 +118,6 @@ TEST_F(LifecycleTest, PromoteDemoteRepromote) {
   EXPECT_EQ(*resolved, a.ref);
 }
 
-TEST_F(LifecycleTest, WarmStandbyRunsWhileBackupOnly) {
-  auto warm_hook = [](int* counter) {
-    return [counter](std::function<void(Status)> done) {
-      ++*counter;
-      done(OkStatus());
-    };
-  };
-  int warm_a = 0;
-  ServiceLifecycle::Hooks hooks_a;
-  hooks_a.warm_standby = warm_hook(&warm_a);
-  Replica a = Spawn(1, "tgt-a", std::move(hooks_a));
-  cluster().RunFor(Duration::Seconds(2));
-  ASSERT_TRUE(a.lifecycle->is_primary());
-
-  int warm_b = 0;
-  ServiceLifecycle::Hooks hooks_b;
-  hooks_b.warm_standby = warm_hook(&warm_b);
-  Replica b = Spawn(2, "tgt-b", std::move(hooks_b));
-  cluster().RunFor(Duration::Seconds(5));
-
-  // The backup pre-warms on every interval; the primary never does (it
-  // promoted before its first warm tick, and Primary skips the hook).
-  EXPECT_GE(b.lifecycle->warm_standby_runs(), 3u);
-  EXPECT_EQ(warm_b, static_cast<int>(b.lifecycle->warm_standby_runs()));
-  EXPECT_EQ(a.lifecycle->warm_standby_runs(), 0u);
-  EXPECT_EQ(warm_a, 0);
-  EXPECT_GE(metrics().Get("svc.role.warm_standby[svc/tgt]"), 3u);
-
-  // Promotion stops the warm cadence: the recovery path owns the state now.
-  a.lifecycle->Stop();
-  cluster().RunFor(Duration::Seconds(3));
-  ASSERT_TRUE(b.lifecycle->is_primary());
-  uint64_t runs_at_promotion = b.lifecycle->warm_standby_runs();
-  cluster().RunFor(Duration::Seconds(3));
-  EXPECT_EQ(b.lifecycle->warm_standby_runs(), runs_at_promotion);
-}
-
 TEST_F(LifecycleTest, RecoverFailureReleasesBindingAndRetries) {
   int attempts = 0;
   ServiceLifecycle::Hooks hooks;
@@ -176,7 +137,9 @@ TEST_F(LifecycleTest, RecoverFailureReleasesBindingAndRetries) {
   EXPECT_EQ(a.lifecycle->role(), ServiceRole::kBackup);
   EXPECT_EQ(a.lifecycle->promotions(), 0u);
 
-  // Re-contests after the back-off until recovery succeeds.
+  // Re-contests only after the 2 s back-off, then until recovery succeeds.
+  cluster().RunFor(Duration::Millis(1400));
+  EXPECT_EQ(attempts, 1);
   cluster().RunFor(Duration::Seconds(5));
   EXPECT_TRUE(a.lifecycle->is_primary());
   EXPECT_EQ(attempts, 3);

@@ -148,9 +148,9 @@ TEST_F(MediaTest, NoServiceProbesTheMdsSelector) {
 TEST_F(MediaTest, MmsSyncsEachReplicaOncePerRound) {
   // Titles, load and sessions of an MDS replica reach the MMS in one Sync
   // request per round, after one ListRepl of svc/mds. The primary runs a
-  // round every refresh tick (5 s);
-  // the backup runs one only on its warm-standby pass (10 s). The load
-  // board hears from the MMS primary alone: no MDS or CMgr reports.
+  // round every refresh tick (5 s); the backup runs none, since promotion's
+  // RecoverState round rebuilds everything. The load board hears from the
+  // MMS primary alone: no MDS or CMgr reports.
   auto endpoints_of = [this](const std::string& name) {
     std::vector<wire::Endpoint> out;
     for (size_t i = 0; i < harness_.server_count(); ++i) {
@@ -201,9 +201,9 @@ TEST_F(MediaTest, MmsSyncsEachReplicaOncePerRound) {
 
   std::sort(rounds.begin(), rounds.end());
   std::sort(mds_requests.begin(), mds_requests.end());
-  EXPECT_EQ(rounds[0], 3u);  // Backup: 3 warm passes.
+  EXPECT_EQ(rounds[0], 0u);  // Backup.
   EXPECT_EQ(rounds[1], 6u);  // Primary: 6 ticks.
-  EXPECT_EQ(mds_requests[0], 3u * 2u);
+  EXPECT_EQ(mds_requests[0], 0u);
   EXPECT_EQ(mds_requests[1], 6u * 2u);
   EXPECT_EQ(silent_reports, 0u);
 }
@@ -582,24 +582,105 @@ TEST_F(MediaTest, MmsFailoverAdoptsRunningSessions) {
   EXPECT_EQ(load1->active_streams + load2->active_streams, 0u);
 }
 
-TEST_F(MediaTest, MmsWarmStandbyPrewarmsThenPrunesClosedSessions) {
-  // The backup MMS's periodic WarmStandby pass copies running sessions
-  // passively (no watches, no resource ownership), so a later promotion has
-  // almost nothing to rebuild.
-  TestSettop s = MakeSettop(1);
-  s.vod->PlayMovie("T2", [](Status) {});
+TEST_F(MediaTest, MmsBackupHoldsNothingAndAPrimaryKillAdoptsEverySession) {
+  // While the primary streams, the backup MMS sends no Sync and holds no
+  // session. Killing the primary loses nothing: the promotion round of
+  // whichever replica wins the name (here the restarted mmsd) adopts every
+  // running stream from the MDSes.
+  std::vector<TestSettop> settops = {MakeSettop(1), MakeSettop(2),
+                                     MakeSettop(1)};
+  settops[0].vod->PlayMovie("solo", [](Status) {});
+  settops[1].vod->PlayMovie("T2", [](Status) {});
+  settops[2].vod->PlayMovie("T2", [](Status) {});
+  cluster().RunFor(Duration::Seconds(30));
+  for (const TestSettop& s : settops) {
+    ASSERT_TRUE(s.vod->playing());
+  }
+
+  sim::Process& probe = harness_.SpawnProcessOn(0, "probe");
+  auto primary = harness_.ClientFor(probe).Resolve(std::string(kMmsName));
+  cluster().RunFor(Duration::Seconds(2));
+  ASSERT_TRUE(primary.is_ready() && primary.result().ok());
+  const wire::ObjectRef primary_ref = primary.result().value();
+  // The backup's MMS object is bound nowhere; its host's SSC lists it.
+  uint32_t backup_host = harness_.HostOf(0) == primary_ref.endpoint.host
+                             ? harness_.HostOf(1)
+                             : harness_.HostOf(0);
+  auto objects =
+      svc::SscProxy(probe.runtime(), svc::SscRefAt(backup_host)).ListObjects();
+  cluster().RunFor(Duration::Seconds(1));
+  ASSERT_TRUE(objects.is_ready() && objects.result().ok());
+  wire::ObjectRef backup_ref;
+  for (const wire::ObjectRef& ref : *objects.result()) {
+    if (ref.type_id == wire::TypeIdFromName(kMmsInterface)) {
+      backup_ref = ref;
+    }
+  }
+  ASSERT_EQ(backup_ref.endpoint.host, backup_host);
+
+  auto count_at = [&](const wire::ObjectRef& ref) -> uint32_t {
+    auto n = MmsProxy(probe.runtime(), ref).ListSessions();
+    cluster().RunFor(Duration::Seconds(1));
+    EXPECT_TRUE(n.is_ready() && n.result().ok());
+    return n.is_ready() && n.result().ok() ? *n.result() : 999;
+  };
+  EXPECT_EQ(count_at(primary_ref), 3u);
+  EXPECT_EQ(count_at(backup_ref), 0u);
+
+  sim::Node* node = cluster().FindNode(primary_ref.endpoint.host);
+  ASSERT_NE(node, nullptr);
+  sim::Process* victim = node->FindProcessByName("mmsd");
+  ASSERT_NE(victim, nullptr);
+  uint64_t adopted_before = metrics().Get("mms.session_adopted");
+  node->Kill(victim->pid());
+  cluster().RunFor(Duration::Seconds(40));
+
+  auto promoted = harness_.ClientFor(probe).Resolve(std::string(kMmsName));
+  cluster().RunFor(Duration::Seconds(2));
+  ASSERT_TRUE(promoted.is_ready() && promoted.result().ok());
+  EXPECT_NE(promoted.result().value(), primary_ref);
+  EXPECT_EQ(count_at(promoted.result().value()), 3u);
+  EXPECT_EQ(metrics().Get("mms.session_adopted") - adopted_before, 3u);
+  for (const TestSettop& s : settops) {
+    EXPECT_TRUE(s.vod->playing());
+  }
+}
+
+TEST_F(MediaTest, MmsDemotedMidRoundAdoptsNothing) {
+  // A sync round that a demotion overtakes lands on a replica that no longer
+  // owns the sessions: it must not adopt them or watch their settops. The
+  // replica here is driven through the hooks its ServiceLifecycle calls.
+  TestSettop a = MakeSettop(1);
+  TestSettop b = MakeSettop(2);
+  a.vod->PlayMovie("solo", [](Status) {});
+  b.vod->PlayMovie("T2", [](Status) {});
   cluster().RunFor(Duration::Seconds(10));
-  ASSERT_TRUE(s.vod->playing());
+  ASSERT_TRUE(a.vod->playing() && b.vod->playing());
 
-  cluster().RunFor(Duration::Seconds(15));  // At least one warm pass (10 s).
-  EXPECT_GE(metrics().Get("mms.session_prewarmed"), 1u);
+  sim::Process& p = harness_.SpawnProcessOn(0, "mms-replica");
+  auto* mms = p.Emplace<MmsService>(p.runtime(), p.executor(),
+                                    harness_.ClientFor(p),
+                                    MmsService::Options(), &metrics());
+  mms->Start();
 
-  // The session closes while the backup holds its passive copy. The next warm
-  // pass finds the MDS no longer reports the stream and prunes the stale
-  // record — without touching the (already released) resources.
-  s.vod->Stop();
-  cluster().RunFor(Duration::Seconds(15));
-  EXPECT_GE(metrics().Get("mms.session_stale_pruned"), 1u);
+  // Won the binding: recovery adopts both streams, each with its watch.
+  bool recovered = false;
+  mms->RecoverState([&recovered](Status s) { recovered = s.ok(); });
+  cluster().RunFor(Duration::Seconds(2));
+  ASSERT_TRUE(recovered);
+  EXPECT_EQ(mms->session_count(), 2u);
+  EXPECT_EQ(mms->watch_count(), 2u);
+
+  // Demoted while its next round is in flight: every reply lands after the
+  // demotion, and the demoted replica ends holding nothing.
+  bool stale_done = false;
+  mms->RecoverState([&stale_done](Status) { stale_done = true; });
+  mms->OnDemotedRole();
+  EXPECT_EQ(mms->session_count(), 0u);
+  cluster().RunFor(Duration::Seconds(5));
+  EXPECT_TRUE(stale_done);
+  EXPECT_EQ(mms->session_count(), 0u);
+  EXPECT_EQ(mms->watch_count(), 0u);
 }
 
 TEST_F(MediaTest, CmgrFailoverKeepsAllocationTable) {

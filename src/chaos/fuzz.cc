@@ -178,7 +178,6 @@ FuzzResult Run(uint64_t seed, const sim::ChaosPlan* replay,
   // otherwise stay exhausted past the convergence horizon.
   deploy.mds_unplayed_grace = Duration::Seconds(20);
   deploy.mms_shards = options.mms_shards;
-  deploy.cmgr_shards = options.cmgr_shards;
   if (options.mms_shards > 1) {
     deploy.mms_replicas = options.server_count;
   }

@@ -66,12 +66,11 @@ struct FuzzOptions {
   size_t viewer_count = 3;
   size_t movie_count = 8;
 
-  // Shard the hot services (mms_shards > 1 also runs an mmsd replica on
-  // every server so shard primaries can spread). With sharding on, the
+  // Shard the MMS (mms_shards > 1 also runs an mmsd replica on every server
+  // so shard primaries can spread). With sharding on, the
   // svc-single-primary invariant checks exactly-one-primary-PER-SHARD — the
   // lifecycle paths are per-shard, and the monitor groups by full path.
   uint32_t mms_shards = 1;
-  uint32_t cmgr_shards = 1;
 
   // Skewed-load admission stress (ROADMAP "Shard-aware admission"): place
   // ~80% of the viewers on settop hosts that hash to MMS shard 0, so the hot

@@ -8,6 +8,19 @@
 
 namespace itv::media {
 
+namespace {
+
+// Resource limit (paper Section 7.3): "a settop client is only allowed to
+// open a certain number of network connections".
+constexpr uint32_t kMaxConnectionsPerSettop = 4;
+constexpr Duration kRpcTimeout = Duration::Seconds(2);
+// Grant reclamation cadence (see AuditGrants).
+constexpr Duration kGrantAuditInterval = Duration::Seconds(10);
+constexpr int kGrantMissesToReclaim = 2;
+constexpr Duration kGrantGrace = Duration::Seconds(10);
+
+}  // namespace
+
 // --- TrunkService --------------------------------------------------------------
 
 void TrunkService::Dispatch(uint32_t method_id, const wire::Bytes& args,
@@ -58,12 +71,12 @@ void TrunkService::Dispatch(uint32_t method_id, const wire::Bytes& args,
 // --- CmgrService ---------------------------------------------------------------
 
 CmgrService::CmgrService(rpc::ObjectRuntime& runtime, Executor& executor,
-                         naming::NameClient name_client, Options options,
+                         naming::NameClient name_client, uint8_t neighborhood,
                          Metrics* metrics)
     : runtime_(runtime),
       executor_(executor),
       name_client_(std::move(name_client)),
-      options_(options),
+      neighborhood_(neighborhood),
       metrics_(metrics),
       // Connection ids must stay unique across fail-over and restart: seed
       // the counter with this process's incarnation.
@@ -75,71 +88,17 @@ void CmgrService::Start() {
   RefreshStandbys();
   standby_refresh_timer_.Start(executor_, Duration::Seconds(10),
                                [this] { RefreshStandbys(); });
-  grant_audit_timer_.Start(executor_, options_.grant_audit_interval,
+  grant_audit_timer_.Start(executor_, kGrantAuditInterval,
                            [this] { AuditGrants(); });
 }
 
 void CmgrService::OnPromoted() {
-  ITV_LOG(Info) << "cmgr nb " << int{options_.neighborhood} << ": primary with "
+  ITV_LOG(Info) << "cmgr nb " << int{neighborhood_} << ": primary with "
                 << connections_.size() << " replicated connections";
   Count("cmgr.became_primary");
 }
 
-void CmgrService::AdoptShardMap(const wire::ShardMap& map) {
-  if (map.version <= options_.shard_map.version) {
-    return;  // Versions only move forward.
-  }
-  options_.shard_map = map;
-  HandoffMovedGrants();
-}
-
-void CmgrService::HandoffMovedGrants() {
-  if (!is_primary()) {
-    return;
-  }
-  std::vector<ConnectionGrant> moved;
-  for (const auto& [id, grant] : connections_) {
-    if (!OwnsSettop(grant.settop_host)) {
-      moved.push_back(grant);
-    }
-  }
-  for (const ConnectionGrant& grant : moved) {
-    uint32_t owner =
-        wire::ShardOf(grant.settop_host, options_.shard_map);
-    uint64_t id = grant.connection_id;
-    ITV_LOG(Info) << "cmgr nb " << int{options_.neighborhood} << " shard "
-                  << options_.shard_index + 1 << ": handing off connection "
-                  << id << " to shard " << owner + 1;
-    bindings_
-        .Bind<CmgrProxy>(
-            CmgrName(options_.neighborhood, owner, options_.shard_map))
-        .Call<void>(
-            [grant](const CmgrProxy& peer) {
-              return peer.ApplyReplica(1, grant);
-            },
-            [this, grant, id](Result<void> r) {
-              if (!r.ok()) {
-                // Keep custody; the next grant-audit sweep retries.
-                Count("cmgr.grant_handoff_failed");
-                return;
-              }
-              // Drop the local copy WITHOUT releasing the trunk reservation:
-              // the connection is still streaming, only its bookkeeper moved.
-              // (Not ApplyLocal(2): a handoff is not a release and must not
-              // show up in the settop's accounting as one.)
-              connections_.erase(id);
-              granted_at_.erase(id);
-              grant_misses_.erase(id);
-              PushToStandbys(2, grant);
-              Count("cmgr.grant_handoff");
-            });
-  }
-}
-
 void CmgrService::AuditGrants() {
-  // Retry any transfers that failed at adoption time (destination primary
-  // still electing, transient partition) before auditing what remains.
-  HandoffMovedGrants();
   if (!is_primary() || connections_.empty()) {
     return;
   }
@@ -160,7 +119,7 @@ void CmgrService::AuditGrants() {
       ++*pending;
       MdsProxy mds(runtime_, binding.ref);
       rpc::CallOptions opts;
-      opts.timeout = options_.rpc_timeout;
+      opts.timeout = kRpcTimeout;
       uint32_t host = binding.ref.endpoint.host;
       mds.Sync(opts).OnReady(
           [this, claimed, pending, host](const Result<MdsSync>& sync) {
@@ -196,19 +155,19 @@ void CmgrService::ReclaimUnclaimed(
     }
     auto granted = granted_at_.find(id);
     if (granted != granted_at_.end() &&
-        now - granted->second < options_.grant_grace) {
+        now - granted->second < kGrantGrace) {
       continue;  // Open may still be in flight.
     }
     if (host->second.count(id) > 0) {
       grant_misses_.erase(id);
       continue;
     }
-    if (++grant_misses_[id] >= options_.grant_misses_to_reclaim) {
+    if (++grant_misses_[id] >= kGrantMissesToReclaim) {
       doomed.push_back(grant);
     }
   }
   for (const ConnectionGrant& grant : doomed) {
-    ITV_LOG(Info) << "cmgr nb " << int{options_.neighborhood}
+    ITV_LOG(Info) << "cmgr nb " << int{neighborhood_}
                   << ": reclaiming orphaned connection " << grant.connection_id
                   << " (settop " << grant.settop_host << ", server "
                   << grant.server_host << ")";
@@ -274,13 +233,13 @@ void CmgrService::HandleAllocate(uint32_t settop_host, uint32_t server_host,
   }
   // Resource limit first (paper Section 7.3): a connection-count cap
   // contains buggy clients that allocate without releasing.
-  if (SettopConnectionCount(settop_host) >= options_.max_connections_per_settop) {
+  if (SettopConnectionCount(settop_host) >= kMaxConnectionsPerSettop) {
     Count("cmgr.limit_denied");
     ++accounting_[settop_host].denied;
     return rpc::ReplyError(
         reply, ResourceExhaustedError("settop connection limit reached"));
   }
-  int64_t remaining = options_.settop_downstream_bps - SettopReservedBps(settop_host);
+  int64_t remaining = kSettopDownstreamBps - SettopReservedBps(settop_host);
   int64_t granted = bps;
   if (granted > remaining) {
     if (!allow_partial || remaining <= 0) {
@@ -325,14 +284,14 @@ void CmgrService::HandleRelease(uint64_t connection_id, rpc::ReplyFn reply) {
   PushToStandbys(2, grant);
   Count("cmgr.released");
 
-  if (bindings_.Find(TrunkName(grant.server_host)) != nullptr) {
-    bindings_.Bind<TrunkProxy>(TrunkName(grant.server_host))
-        .Call<void>(
-            [connection_id](const TrunkProxy& proxy) {
-              return proxy.Release(connection_id);
-            },
-            [](Result<void>) {});
-  }
+  // Always bind: a promoted standby inherited grants whose trunk it has
+  // never called.
+  bindings_.Bind<TrunkProxy>(TrunkName(grant.server_host))
+      .Call<void>(
+          [connection_id](const TrunkProxy& proxy) {
+            return proxy.Release(connection_id);
+          },
+          [](Result<void>) {});
   rpc::ReplyOk(reply);
 }
 
@@ -357,8 +316,7 @@ void CmgrService::ApplyLocal(uint8_t op, const ConnectionGrant& grant) {
 
 void CmgrService::RefreshStandbys() {
   name_client_
-      .ListRepl(CmgrStandbyContext(options_.neighborhood, options_.shard_index,
-                                   options_.shard_map))
+      .ListRepl(CmgrStandbyContext(neighborhood_))
       .OnReady([this](const Result<naming::BindingList>& r) {
         if (!r.ok()) {
           return;
@@ -432,13 +390,6 @@ void CmgrService::Dispatch(uint32_t method_id, const wire::Bytes& args,
         out.push_back(grant);
       }
       return rpc::ReplyWith(reply, out);
-    }
-    case kCmgrMethodSettopUsage: {
-      uint32_t settop_host = 0;
-      if (!rpc::DecodeArgs(args, &settop_host)) {
-        return rpc::ReplyBadArgs(reply);
-      }
-      return rpc::ReplyWith(reply, SettopReservedBps(settop_host));
     }
     case kCmgrMethodApplyReplica: {
       uint8_t op = 0;

@@ -27,7 +27,6 @@
 #include "src/naming/name_client.h"
 #include "src/rpc/binding_table.h"
 #include "src/svc/lifecycle.h"
-#include "src/wire/shard_map.h"
 
 namespace itv::media {
 
@@ -36,27 +35,14 @@ inline constexpr std::string_view kTrunkInterface = "itv.TrunkManager";
 
 // Name-space layout:
 //   svc/cmgr/<neighborhood>      primary binding of the neighborhood replica
-//                                (sharded: svc/cmgr/<nb>/<shard> plus a
-//                                shard map at svc/cmgr/<nb>/.shards)
 //   svc/cmgrbk/<nb>/<host>       every replica (incl. backups) registers here
 //                                so the primary can find standbys to push to
-//                                (sharded: svc/cmgrbk/<nb>/<shard>/<host> —
-//                                each shard's primary pushes only to its own
-//                                shard's standbys)
 //   svc/cmgrtrunk/<host>         the per-server trunk replica
 inline std::string CmgrName(uint8_t neighborhood) {
   return "svc/cmgr/" + std::to_string(neighborhood);
 }
-inline std::string CmgrName(uint8_t neighborhood, uint32_t shard,
-                            const wire::ShardMap& map) {
-  return wire::ShardPath(CmgrName(neighborhood), shard, map);
-}
 inline std::string CmgrStandbyContext(uint8_t neighborhood) {
   return "svc/cmgrbk/" + std::to_string(neighborhood);
-}
-inline std::string CmgrStandbyContext(uint8_t neighborhood, uint32_t shard,
-                                      const wire::ShardMap& map) {
-  return wire::ShardPath(CmgrStandbyContext(neighborhood), shard, map);
 }
 inline std::string TrunkName(uint32_t server_host) {
   return "svc/cmgrtrunk/" + std::to_string(server_host);
@@ -67,7 +53,7 @@ enum CmgrMethod : uint32_t {
   kCmgrMethodRelease = 2,
   kCmgrMethodListConnections = 3,
   kCmgrMethodApplyReplica = 4,   // Primary -> standby state push.
-  kCmgrMethodSettopUsage = 5,
+  // Id 5 (the retired per-settop usage read) stays unassigned.
   kCmgrMethodAccounting = 6,
 };
 
@@ -145,10 +131,6 @@ class CmgrProxy : public rpc::Proxy {
     return rpc::DecodeReply<std::vector<ConnectionGrant>>(
         Call(kCmgrMethodListConnections, {}));
   }
-  Future<int64_t> SettopUsage(uint32_t settop_host) const {
-    return rpc::DecodeReply<int64_t>(
-        Call(kCmgrMethodSettopUsage, rpc::EncodeArgs(settop_host)));
-  }
   Future<void> ApplyReplica(uint8_t op, const ConnectionGrant& grant) const {
     return rpc::DecodeEmptyReply(
         Call(kCmgrMethodApplyReplica, rpc::EncodeArgs(op, grant)));
@@ -200,33 +182,8 @@ class TrunkService : public rpc::Skeleton {
 
 class CmgrService : public rpc::Skeleton {
  public:
-  struct Options {
-    uint8_t neighborhood = 1;
-    int64_t settop_downstream_bps = kSettopDownstreamBps;
-    // Resource limit (paper Section 7.3): "a settop client is only allowed
-    // to open a certain number of network connections".
-    uint32_t max_connections_per_settop = 4;
-    Duration rpc_timeout = Duration::Seconds(2);
-    // Grant reclamation (paper Section 7.2): connection grants whose
-    // server-side session died without a release (server crash mid-stream,
-    // lost close) would pin the settop's downstream budget forever. The
-    // primary periodically cross-checks its grants against the sessions the
-    // MDS replicas report and releases grants nobody claims for
-    // `grant_misses_to_reclaim` consecutive audits. Fresh grants get a grace
-    // period: a grant is legitimately unclaimed while its open is in flight.
-    Duration grant_audit_interval = Duration::Seconds(10);
-    int grant_misses_to_reclaim = 2;
-    Duration grant_grace = Duration::Seconds(10);
-    // Shard this instance serves within the neighborhood. Settop budgets are
-    // consistent across shards because the router keys by settop host: all
-    // of one settop's connections land on one shard. The standby push stays
-    // within the shard's own standby context.
-    uint32_t shard_index = 0;
-    wire::ShardMap shard_map;
-  };
-
   CmgrService(rpc::ObjectRuntime& runtime, Executor& executor,
-              naming::NameClient name_client, Options options,
+              naming::NameClient name_client, uint8_t neighborhood,
               Metrics* metrics = nullptr);
 
   // Exports the object and starts the standby-refresh and grant-audit loops.
@@ -238,16 +195,6 @@ class CmgrService : public rpc::Skeleton {
   // Promotion hook: the allocation table was kept hot by the primary's state
   // pushes, so there is nothing to recover — just log and count.
   void OnPromoted();
-
-  // Live reshard (ROADMAP "Shard rebalancing"): swap in a newer shard map and
-  // re-audit grants under it. A primary TRANSFERS each grant whose settop now
-  // hashes to another shard: it pushes the grant to the owning shard's
-  // primary (ApplyReplica, the same op a standby applies) and only then drops
-  // its local copy — the trunk reservation is never touched, because the
-  // connection itself lives on. Failed transfers keep local custody and are
-  // retried by every grant-audit sweep. Standbys just re-key; their tables
-  // drain through the primary's standby pushes.
-  void AdoptShardMap(const wire::ShardMap& map);
   void AttachLifecycle(const svc::ServiceLifecycle* lifecycle) {
     lifecycle_ = lifecycle;
   }
@@ -273,24 +220,21 @@ class CmgrService : public rpc::Skeleton {
   // Re-discovers standby replicas; newly seen standbys receive a full copy
   // of the allocation table so late joiners converge.
   void RefreshStandbys();
-  // Grant reclamation sweep: asks every live MDS replica which connection
-  // ids its sessions hold and releases grants unclaimed for
-  // `grant_misses_to_reclaim` consecutive sweeps.
+  // Grant reclamation sweep (paper Section 7.2): connection grants whose
+  // server-side session died without a release (server crash mid-stream,
+  // lost close) would pin the settop's downstream budget forever. The sweep
+  // asks every live MDS replica which connection ids its sessions hold and
+  // releases grants unclaimed for kGrantMissesToReclaim consecutive sweeps.
+  // Fresh grants get a grace period: a grant is legitimately unclaimed while
+  // its open is in flight.
   void AuditGrants();
   void ReclaimUnclaimed(const std::map<uint32_t, std::set<uint64_t>>& claimed);
-  // Transfers grants this shard no longer owns to the owning shard's primary
-  // (erase-on-ack). No-op when not primary or nothing moved.
-  void HandoffMovedGrants();
-  bool OwnsSettop(uint32_t settop_host) const {
-    return wire::ShardOf(settop_host, options_.shard_map) ==
-           options_.shard_index;
-  }
   void Count(std::string_view name);
 
   rpc::ObjectRuntime& runtime_;
   Executor& executor_;
   naming::NameClient name_client_;
-  Options options_;
+  uint8_t neighborhood_;
   Metrics* metrics_;
 
   wire::ObjectRef ref_;

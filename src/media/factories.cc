@@ -106,51 +106,26 @@ void RegisterMediaServices(svc::ClusterHarness& harness,
   // --- Connection managers per neighborhood --------------------------------------
   for (uint8_t nb = 1; nb <= neighborhoods; ++nb) {
     harness.RegisterServiceType(
-        "cmgrd-" + std::to_string(nb),
-        [nb, deployment, servers](const svc::ServiceContext& ctx) {
-          // cmgrd replicas sit on the neighborhood's home server (rank 0)
-          // and the next one (rank 1); see the placement block below.
-          uint32_t home = ctx.harness.ServerHostForNeighborhood(nb);
-          svc::ShardHost::Options host_opts;
-          host_opts.rank = ctx.process.host() == home ? 0 : 1;
-          host_opts.replicas = servers > 1 ? 2 : 1;
-          host_opts.stagger = deployment.shard_stagger;
-          host_opts.poll = deployment.shard_map_poll;
-          auto* shard_host = ctx.process.Emplace<svc::ShardHost>(
-              ctx, CmgrName(nb), host_opts,
-              [ctx, nb](uint32_t shard, const wire::ShardMap& map) {
-                CmgrService::Options opts;
-                opts.neighborhood = nb;
-                opts.shard_index = shard;
-                opts.shard_map = map;
-                auto* cmgr = ctx.process.Emplace<CmgrService>(
-                    ctx.process.runtime(), ctx.process.executor(),
-                    ctx.MakeNameClient(), opts, ctx.metrics);
-                cmgr->Start();
-                // Every replica registers under the (per-shard) standby
-                // context — a single-claimant binding the replica always
-                // wins — so the shard's primary can find push targets...
-                PublishService(ctx,
-                               CmgrStandbyContext(nb, shard, map) + "/" +
-                                   std::to_string(ctx.process.host()),
-                               cmgr->ref());
-                // ...and contests the shard's primary binding (ShardHost
-                // starts that lifecycle). No recover hook: the primary's
-                // state pushes keep every standby's allocation table hot
-                // (Section 10.1.1).
-                svc::ShardHost::Shard hosted;
-                hosted.ref = cmgr->ref();
-                hosted.hooks.on_promoted = [cmgr] { cmgr->OnPromoted(); };
-                hosted.attach = [cmgr](svc::ServiceLifecycle* lifecycle) {
-                  cmgr->AttachLifecycle(lifecycle);
-                };
-                hosted.adopt_map = [cmgr](const wire::ShardMap& next) {
-                  cmgr->AdoptShardMap(next);
-                };
-                return hosted;
-              });
-          shard_host->Start(
-              wire::ShardMap{deployment.cmgr_shards, deployment.shard_salt});
+        "cmgrd-" + std::to_string(nb), [nb](const svc::ServiceContext& ctx) {
+          auto* cmgr = ctx.process.Emplace<CmgrService>(
+              ctx.process.runtime(), ctx.process.executor(),
+              ctx.MakeNameClient(), nb, ctx.metrics);
+          cmgr->Start();
+          // Every replica registers under the standby context — a
+          // single-claimant binding the replica always wins — so the primary
+          // can find push targets...
+          PublishService(ctx,
+                         CmgrStandbyContext(nb) + "/" +
+                             std::to_string(ctx.process.host()),
+                         cmgr->ref());
+          // ...and contests the neighborhood's primary binding. That
+          // publish already announced the ref to the SSC. No recover hook:
+          // the primary's state pushes keep every standby's allocation table
+          // hot (Section 10.1.1).
+          svc::ServiceLifecycle::Hooks hooks;
+          hooks.on_promoted = [cmgr] { cmgr->OnPromoted(); };
+          cmgr->AttachLifecycle(
+              ctx.StartLifecycle(CmgrName(nb), cmgr->ref(), std::move(hooks)));
         });
   }
 

@@ -7,9 +7,11 @@
 //   rdsd-<nb>     per-neighborhood replica assigned to that neighborhood's
 //                 server, published under svc/rds/<nb>
 //   cmgrd-<nb>    per-neighborhood Connection Manager: one primary + one
-//                 standby on the next server
+//                 hot standby on the next server, bound at svc/cmgr/<nb>
+//                 (never sharded: the neighborhood is its partition)
 //   trunkd        per-server trunk capacity replica
-//   mmsd          primary/backup on the first two servers
+//   mmsd          primary/backup on the first mms_replicas servers, one
+//                 lifecycle per MMS shard
 //   bootd         boot/kernel broadcast per server
 
 #ifndef SRC_MEDIA_FACTORIES_H_
@@ -68,10 +70,8 @@ struct MediaDeployment {
   // With mms_shards > 1 the MMS path space becomes svc/mms/<shard> plus a
   // shard map at svc/mms/.shards, every mmsd replica runs one lifecycle per
   // shard, and the N shard primaries spread round-robin across replicas.
-  // cmgr_shards does the same per neighborhood (svc/cmgr/<nb>/<shard>).
-  // Defaults keep the classic single-primary layout.
+  // The default keeps the classic single-primary layout.
   uint32_t mms_shards = 1;
-  uint32_t cmgr_shards = 1;
   uint64_t shard_salt = wire::kDefaultShardSalt;
   // How many servers run an mmsd replica (each hosting every shard's
   // lifecycle). More replicas than shards just means deeper backup chains.

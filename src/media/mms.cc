@@ -250,7 +250,7 @@ std::vector<MmsService::MdsReplica*> MmsService::CandidatesFor(
 rpc::BoundClient<CmgrProxy> MmsService::CmgrFor(uint8_t neighborhood) {
   rpc::BindingOptions opts = rpc::BindingTable::DefaultOptions();
   opts.max_attempts = 2;
-  return bindings_.BindSharded<CmgrProxy>(CmgrName(neighborhood), opts);
+  return bindings_.Bind<CmgrProxy>(CmgrName(neighborhood), opts);
 }
 
 void MmsService::HandleOpen(const std::string& title, uint32_t settop_host,
@@ -319,7 +319,6 @@ void MmsService::TryOpenOn(std::vector<MdsReplica*> candidates, size_t index,
   // Step 4: allocate the high-bandwidth connection for the chosen server.
   CmgrFor(neighborhood)
       .Call<ConnectionGrant>(
-          settop_host,
           [mds_host, settop_host, bitrate_bps](const CmgrProxy& cmgr) {
             return cmgr.Allocate(settop_host, mds_host, bitrate_bps,
                                  /*allow_partial=*/false);
@@ -347,9 +346,10 @@ void MmsService::FinishOpen(MdsReplica* replica, const std::string& title,
   MdsProxy mds(runtime_, replica->ref);
   std::string mds_name = replica->name;
   wire::ObjectRef mds_ref = replica->ref;
+  uint64_t epoch = role_epoch_;
   mds.Open(title, settop_host, grant, sink)
       .OnReady([this, mds_name, mds_ref, title, settop_host, sink, grant,
-                candidates = std::move(candidates), index,
+                candidates = std::move(candidates), index, epoch,
                 reply](const Result<MovieTicket>& ticket) mutable {
         if (!ticket.ok()) {
           // Release the connection and handle the replica failure per
@@ -358,7 +358,6 @@ void MmsService::FinishOpen(MdsReplica* replica, const std::string& title,
           uint8_t neighborhood = NeighborhoodOfHost(settop_host);
           CmgrFor(neighborhood)
               .Call<void>(
-                  settop_host,
                   [grant](const CmgrProxy& cmgr) {
                     return cmgr.Release(grant.connection_id);
                   },
@@ -379,9 +378,15 @@ void MmsService::FinishOpen(MdsReplica* replica, const std::string& title,
         if (replica != mds_.end() && replica->second.ref == mds_ref) {
           replica->second.AdoptLoad(ticket->load);
         }
-        auto [it, inserted] = sessions_.try_emplace(ticket->movie);
-        Session& session = it->second;
-        if (inserted) {
+        if (epoch != role_epoch_) {
+          // Demoted while the open was in flight: the viewer still gets its
+          // ticket, but a demoted replica keeps nothing. The new primary's
+          // sync adopts the stream (and its grant) from the MDS.
+          admission_.Release(grant.downstream_bps);
+          Count("mms.open_after_demotion");
+        } else if (auto [it, inserted] = sessions_.try_emplace(ticket->movie);
+                   inserted) {
+          Session& session = it->second;
           session.settop_host = settop_host;
           session.mds_name = mds_name;
           session.mds_ref = mds_ref;
@@ -432,37 +437,45 @@ void MmsService::ReclaimSession(const wire::ObjectRef& movie, bool tell_mds) {
   if (tell_mds) {
     // The freed load shows once the Close reply (or a later sync) reports
     // it. Until that reply lands the stream is `closing`, which keeps a sync
-    // reply written before the close from re-adopting it.
-    uint64_t stream_id = session.stream_id;
+    // reply written before the close from re-adopting it. A replica entry
+    // rebuilt for a new incarnation needs no close: the stream died with the
+    // old one.
     auto replica = mds_.find(session.mds_name);
     if (replica != mds_.end() && replica->second.ref == session.mds_ref) {
-      replica->second.closing.insert(stream_id);
+      CloseOnMds(replica->second, session.stream_id);
     }
-    // "it tells the MDS to deallocate movie resources" (Section 3.4.5).
-    MdsProxy(runtime_, session.mds_ref)
-        .Close(stream_id)
-        .OnReady([this, mds_name = session.mds_name, mds_ref = session.mds_ref,
-                  stream_id](const Result<MdsLoad>& load) {
-          auto it = mds_.find(mds_name);
-          if (it == mds_.end() || it->second.ref != mds_ref) {
-            return;  // Replica entry rebuilt; its closing set died with it.
-          }
-          it->second.closing.erase(stream_id);
-          if (load.ok()) {
-            it->second.AdoptLoad(*load);
-          }
-        });
   }
   // "...and tells the connection manager to deallocate network bandwidth."
   uint8_t neighborhood = NeighborhoodOfHost(session.settop_host);
   uint64_t connection_id = session.connection.connection_id;
   CmgrFor(neighborhood)
       .Call<void>(
-          session.settop_host,
           [connection_id](const CmgrProxy& cmgr) {
             return cmgr.Release(connection_id);
           },
           [](Result<void>) {});
+}
+
+void MmsService::CloseOnMds(MdsReplica& replica, uint64_t stream_id) {
+  replica.closing[stream_id] = true;
+  // "it tells the MDS to deallocate movie resources" (Section 3.4.5).
+  MdsProxy(runtime_, replica.ref)
+      .Close(stream_id)
+      .OnReady([this, mds_name = replica.name, mds_ref = replica.ref,
+                stream_id](const Result<MdsLoad>& load) {
+        auto it = mds_.find(mds_name);
+        if (it == mds_.end() || it->second.ref != mds_ref) {
+          return;  // Replica entry rebuilt; its closing set died with it.
+        }
+        if (!load.ok()) {
+          // Lost on the way there or back: the next round that still sees
+          // the stream sends the Close again.
+          it->second.closing[stream_id] = false;
+          return;
+        }
+        it->second.closing.erase(stream_id);
+        it->second.AdoptLoad(*load);
+      });
 }
 
 void MmsService::WatchSettop(Session& session) {
@@ -490,12 +503,19 @@ void MmsService::OnSettopDead(uint32_t settop_host) {
 
 // --- Session adoption ---------------------------------------------------------
 
-void MmsService::AdoptSessions(const MdsReplica& replica,
+void MmsService::AdoptSessions(MdsReplica& replica,
                                const std::vector<SessionInfo>& sessions) {
   std::set<wire::ObjectRef> reported;
+  std::set<uint64_t> reported_streams;
   for (const SessionInfo& info : sessions) {
     reported.insert(info.movie);
+    reported_streams.insert(info.stream_id);
   }
+  // A closing stream the reply no longer lists is closed, whatever became
+  // of its Close reply.
+  std::erase_if(replica.closing, [&reported_streams](const auto& entry) {
+    return reported_streams.count(entry.first) == 0;
+  });
   // Drop sessions of this replica the reply does not list: the stream closed
   // through another shard (a sibling-opened session closed before its
   // handoff), the MDS reclaimed it, or the MDS restarted. The reply is at
@@ -512,15 +532,20 @@ void MmsService::AdoptSessions(const MdsReplica& replica,
     Count("mms.session_gone_reclaimed");
   }
   for (const SessionInfo& info : sessions) {
+    auto closing = replica.closing.find(info.stream_id);
+    if (closing != replica.closing.end()) {
+      // We closed it after the MDS wrote this reply, or our Close failed;
+      // re-adopting it would leave a session whose settop watch never fires.
+      Count("mms.session_closing_skipped");
+      if (!closing->second) {
+        Count("mms.close_resent");
+        CloseOnMds(replica, info.stream_id);
+      }
+      continue;
+    }
     if (!OwnsSettop(info.settop_host)) {
       // Another shard's primary owns this settop's sessions; adopting it
       // here would double-watch (and double-reclaim) across shards.
-      continue;
-    }
-    if (replica.closing.count(info.stream_id) > 0) {
-      // We closed it after the MDS wrote this reply; re-adopting it would
-      // leave a session whose settop watch never fires.
-      Count("mms.session_closing_skipped");
       continue;
     }
     auto [it, inserted] = sessions_.try_emplace(info.movie);

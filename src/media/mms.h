@@ -161,7 +161,8 @@ class MmsService : public rpc::Skeleton {
   // fires when every replica has answered (or failed). OnDemotedRole drops
   // every watch, refunds every admission grant and empties the table: a
   // demoted replica must not reclaim sessions the new primary owns, and a
-  // round it started before the demotion adopts nothing when it lands.
+  // round or an open it started before the demotion keeps nothing when it
+  // lands.
   void RecoverState(std::function<void(Status)> done);
   void OnPromoted();
   void OnDemotedRole();
@@ -202,10 +203,13 @@ class MmsService : public rpc::Skeleton {
     // The newest load this replica reported, from a Sync, Open or Close
     // reply (AdoptLoad).
     MdsLoad load;
-    // Streams whose Close is still in flight. A Sync reply written before
-    // the close may still list them; the round must not re-adopt them. Once
-    // the Close reply lands, its load sequence makes every such reply stale.
-    std::set<uint64_t> closing;
+    // Streams this MMS closed that the MDS has not yet acknowledged, and
+    // whether that Close is still in flight. A Sync reply written before the
+    // close may still list them; the round must not re-adopt them. Once the
+    // Close reply lands, its load sequence makes every such reply stale. A
+    // Close that failed may never have reached the MDS: the stream stays
+    // here, and a round that still sees it sends the Close again.
+    std::map<uint64_t, bool> closing;
 
     // Takes `reported` if it is newer than `load`.
     void AdoptLoad(const MdsLoad& reported);
@@ -248,10 +252,12 @@ class MmsService : public rpc::Skeleton {
                   rpc::ReplyFn reply);
   void HandleClose(const wire::ObjectRef& movie, rpc::ReplyFn reply);
   void ReclaimSession(const wire::ObjectRef& movie, bool tell_mds);
+  // Sends the MDS Close for a stream in `replica.closing`.
+  void CloseOnMds(MdsReplica& replica, uint64_t stream_id);
   // Registers the RAS watch that reclaims `session` when its settop dies.
   void WatchSettop(Session& session);
   void OnSettopDead(uint32_t settop_host);
-  void AdoptSessions(const MdsReplica& replica,
+  void AdoptSessions(MdsReplica& replica,
                      const std::vector<SessionInfo>& sessions);
 
   // Drops every session this shard no longer owns under the current map
@@ -274,16 +280,14 @@ class MmsService : public rpc::Skeleton {
 
   wire::ObjectRef ref_;
   const svc::ServiceLifecycle* lifecycle_ = nullptr;
-  // Bumped by OnDemotedRole. A sync round captures it at its start and adopts
-  // sessions only if no demotion happened since.
+  // Bumped by OnDemotedRole. A sync round or an open captures it at its
+  // start and keeps sessions only if no demotion happened since.
   uint64_t role_epoch_ = 0;
   std::unique_ptr<ras::AuditClient> audit_;
   std::map<std::string, MdsReplica> mds_;
   // Keyed by the stream's movie object.
   std::map<wire::ObjectRef, Session> sessions_;
-  // Per-neighborhood connection managers, routed by settop host: with
-  // sharded CMgrs the settop's budget lives on exactly one shard, so every
-  // Allocate/Release for a settop must land there.
+  // Per-neighborhood connection managers (svc/cmgr/<nb>).
   rpc::BindingTable bindings_;
   // Per-shard grant budget (disabled unless Options::admission_pool_bps set).
   load::AdmissionController admission_;

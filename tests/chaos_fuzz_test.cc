@@ -81,7 +81,7 @@ TEST(ChaosFuzzTest, PinnedCorpusPassesAllInvariants) {
 }
 
 TEST(ChaosFuzzTest, ShardedDeploymentSurvivesMixedShardFaults) {
-  // Sharded MMS + CMgr with the exactly-one-primary-PER-SHARD invariant
+  // Sharded MMS with the exactly-one-primary-PER-SHARD invariant
   // armed (the lifecycle paths are per-shard, so check_single_primary groups
   // by shard for free). The pinned schedule aims a kill and a partition at
   // two different hosts; with shard primaries staggered one per host, that
@@ -90,7 +90,6 @@ TEST(ChaosFuzzTest, ShardedDeploymentSurvivesMixedShardFaults) {
   // must be streaming again.
   FuzzOptions options = SmallOptions();
   options.mms_shards = 2;
-  options.cmgr_shards = 2;
   options.check_single_primary = true;
 
   sim::ChaosPlan plan;

@@ -17,6 +17,7 @@
 #include "src/svc/settop_manager.h"
 #include "src/svc/csc.h"
 #include "src/svc/ssc.h"
+#include "src/wire/shard_map.h"
 
 namespace itv::media {
 namespace {
@@ -143,6 +144,45 @@ TEST_F(MediaTest, NoServiceProbesTheMdsSelector) {
   cluster().RunFor(Duration::Seconds(15));  // Three refresh ticks.
   cluster().network().SetTap(nullptr);
   EXPECT_EQ(null_requests, 0u);
+}
+
+TEST_F(MediaTest, MmsNeverReadsACmgrShardMap) {
+  // Each neighborhood has one Connection Manager at svc/cmgr/<nb>: the MMS
+  // binds it by name and never looks for a "svc/cmgr/<nb>/.shards" map.
+  const uint64_t naming_type =
+      wire::TypeIdFromName(naming::kNamingContextInterface);
+  size_t resolves = 0;
+  std::vector<std::string> cmgr_map_reads;
+  cluster().network().SetTap([&](const wire::Endpoint&, const wire::Endpoint&,
+                                 const wire::Message& msg) {
+    naming::Name name;
+    if (msg.kind != wire::MsgKind::kRequest || msg.type_id != naming_type ||
+        msg.method_id != naming::kNcMethodResolve || msg.auth.encrypted ||
+        !rpc::DecodeArgs(msg.payload, &name) || name.empty()) {
+      return;
+    }
+    ++resolves;
+    std::string path;
+    for (const std::string& part : name) {
+      path += (path.empty() ? "" : "/") + part;
+    }
+    if (path.rfind("svc/cmgr", 0) == 0 &&
+        name.back() == wire::kShardMapBindingName) {
+      cmgr_map_reads.push_back(path);
+    }
+  });
+  TestSettop a = MakeSettop(1);
+  TestSettop b = MakeSettop(2);
+  a.vod->PlayMovie("T2", [](Status) {});
+  b.vod->PlayMovie("T2", [](Status) {});
+  cluster().RunFor(Duration::Seconds(20));  // Past one binding-map max age.
+  EXPECT_TRUE(a.vod->playing() && b.vod->playing());
+  a.vod->Stop();
+  b.vod->Stop();
+  cluster().RunFor(Duration::Seconds(5));
+  cluster().network().SetTap(nullptr);
+  EXPECT_GT(resolves, 0u);
+  EXPECT_EQ(cmgr_map_reads, std::vector<std::string>());
 }
 
 TEST_F(MediaTest, MmsSyncsEachReplicaOncePerRound) {
@@ -395,7 +435,7 @@ TEST_F(MediaTest, ConnectionCountLimitContainsBuggyClient) {
       last = f.result().status();
     }
   }
-  EXPECT_EQ(granted, 4);  // Default max_connections_per_settop.
+  EXPECT_EQ(granted, 4);  // The CMgr's per-settop connection cap.
   EXPECT_TRUE(IsResourceExhausted(last));
   EXPECT_GE(metrics().Get("cmgr.limit_denied"), 2u);
 }
@@ -683,6 +723,83 @@ TEST_F(MediaTest, MmsDemotedMidRoundAdoptsNothing) {
   EXPECT_EQ(mms->watch_count(), 0u);
 }
 
+TEST_F(MediaTest, MmsOpenReplyAfterDemotionKeepsNothing) {
+  // An open whose MDS reply lands after a demotion: the viewer still gets
+  // its ticket, but the demoted replica keeps no session, no watch and no
+  // admission grant. The stream stays on the MDS for the new primary's sync
+  // to adopt.
+  sim::Node& settop = harness_.AddSettop(1);
+  sim::Process& viewer = settop.Spawn("viewer");
+  sim::Process& p = harness_.SpawnProcessOn(0, "mms-replica");
+  MmsService::Options opts;
+  opts.admission_pool_bps = 48'000'000;
+  auto* mms = p.Emplace<MmsService>(p.runtime(), p.executor(),
+                                    harness_.ClientFor(p), opts, &metrics());
+  mms->Start();
+  bool recovered = false;
+  mms->RecoverState([&recovered](Status s) { recovered = s.ok(); });
+  cluster().RunFor(Duration::Seconds(2));
+  ASSERT_TRUE(recovered);
+  ASSERT_EQ(mms->session_count(), 0u);
+
+  // "solo" lives on the second server only, so the MDS reply crosses the
+  // network to this replica on the first.
+  auto ticket = MmsProxy(viewer.runtime(), mms->ref())
+                    .Open("solo", settop.host(), wire::ObjectRef());
+  // Step until the MDS has the open: its reply is now in flight.
+  const uint64_t opens = metrics().Get("mds.open");
+  for (int step = 0; step < 50'000 && metrics().Get("mds.open") == opens;
+       ++step) {
+    cluster().RunFor(Duration::Micros(100));  // Under one link latency.
+  }
+  ASSERT_EQ(metrics().Get("mds.open"), opens + 1);
+  ASSERT_FALSE(ticket.is_ready());
+  EXPECT_EQ(mms->admission().reserved_bps(), 3'000'000);
+  mms->OnDemotedRole();
+  cluster().RunFor(Duration::Seconds(3));
+
+  ASSERT_TRUE(ticket.is_ready() && ticket.result().ok())
+      << ticket.result().status();
+  EXPECT_EQ(mms->session_count(), 0u);
+  EXPECT_EQ(mms->watch_count(), 0u);
+  EXPECT_EQ(mms->admission().reserved_bps(), 0);
+  EXPECT_EQ(metrics().Get("mms.open_after_demotion"), 1u);
+}
+
+TEST_F(MediaTest, LostMdsCloseIsResentNotReadopted) {
+  // A viewer's close whose MDS Close is lost leaves the stream playing on the
+  // MDS. The MMS's next sync round must send the Close again rather than
+  // adopt the stream back: an adopted stream nobody watches pins the
+  // settop's bandwidth for as long as the settop lives.
+  TestSettop s = MakeSettop(1);
+  s.vod->PlayMovie("solo", [](Status) {});  // Served by the second server.
+  cluster().RunFor(Duration::Seconds(10));
+  ASSERT_TRUE(s.vod->playing());
+
+  sim::Process& probe = harness_.SpawnProcessOn(0, "probe");
+  auto mms_ref = harness_.ClientFor(probe).Resolve(std::string(kMmsName));
+  cluster().RunFor(Duration::Seconds(2));
+  ASSERT_TRUE(mms_ref.is_ready() && mms_ref.result().ok());
+  uint32_t mms_host = mms_ref.result().value().endpoint.host;
+  ASSERT_NE(mms_host, harness_.HostOf(1));
+
+  // Cut the MMS off from the MDS for one Close timeout.
+  cluster().network().Partition(mms_host, harness_.HostOf(1), true);
+  s.vod->Stop();
+  cluster().RunFor(Duration::Seconds(3));
+  cluster().network().HealAllPartitions();
+  cluster().RunFor(Duration::Seconds(12));
+
+  auto load = LoadOfMds(1);
+  ASSERT_TRUE(load.ok()) << load.status();
+  EXPECT_EQ(load->active_streams, 0u);
+  auto held = MmsProxy(probe.runtime(), mms_ref.result().value()).ListSessions();
+  cluster().RunFor(Duration::Seconds(1));
+  ASSERT_TRUE(held.is_ready() && held.result().ok());
+  EXPECT_EQ(*held.result(), 0u);
+  EXPECT_GE(metrics().Get("mms.close_resent"), 1u);
+}
+
 TEST_F(MediaTest, CmgrFailoverKeepsAllocationTable) {
   // Open a movie to create connection state, then fail the primary cmgr for
   // neighborhood 1; the promoted standby must still know the allocation so a
@@ -717,7 +834,8 @@ TEST_F(MediaTest, CmgrFailoverKeepsAllocationTable) {
       CmgrProxy(probe.runtime(), new_ref.result().value()).ListConnections();
   cluster().RunFor(Duration::Seconds(2));
   ASSERT_TRUE(connections.is_ready() && connections.result().ok());
-  EXPECT_GE(connections.result().value().size(), 1u);
+  ASSERT_GE(connections.result().value().size(), 1u);
+  uint32_t server_host = connections.result().value().front().server_host;
 
   // And the settop can release through the new primary.
   s.vod->Stop();
@@ -727,6 +845,16 @@ TEST_F(MediaTest, CmgrFailoverKeepsAllocationTable) {
   cluster().RunFor(Duration::Seconds(2));
   ASSERT_TRUE(after.is_ready() && after.result().ok());
   EXPECT_TRUE(after.result().value().empty());
+
+  // The release reached the serving server's trunk, which the new primary
+  // had never called before.
+  auto trunk_ref = harness_.ClientFor(probe).Resolve(TrunkName(server_host));
+  cluster().RunFor(Duration::Seconds(2));
+  ASSERT_TRUE(trunk_ref.is_ready() && trunk_ref.result().ok());
+  auto usage = TrunkProxy(probe.runtime(), trunk_ref.result().value()).Usage();
+  cluster().RunFor(Duration::Seconds(2));
+  ASSERT_TRUE(usage.is_ready() && usage.result().ok());
+  EXPECT_EQ(usage.result()->reserved_bps, 0);
 }
 
 // --- Live resharding (ROADMAP "Shard rebalancing") ----------------------------

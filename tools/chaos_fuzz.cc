@@ -17,9 +17,9 @@
 //              [--no-shrink] [--single-primary] [--quiet]
 //   chaos_fuzz --seed S [--out DIR] ...
 //
-// --shards N deploys MMS and CMgr with N shards each (an mmsd replica on
-// every server so shard primaries spread); with --single-primary the
-// invariant then checks exactly-one-primary PER SHARD.
+// --shards N deploys the MMS with N shards (an mmsd replica on every server
+// so shard primaries spread); with --single-primary the invariant then
+// checks exactly-one-primary PER SHARD.
 //
 // --reshard deploys MMS with 4 shards and publishes a successor map
 // mid-horizon — growing to 8 shards on even seeds, shrinking to 2 on odd —
@@ -142,7 +142,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       options.mms_shards = shards;
-      options.cmgr_shards = shards;
     } else if (arg == "--reshard") {
       reshard = true;
       options.mms_shards = 4;

@@ -204,18 +204,21 @@ TrialResult RunTrials(const Params& params, int trials, uint64_t seed) {
 
 // Settops streaming through a VodApp each, with the jittered-backoff posture
 // real settops carry, started one every 200 ms round-robin over the
-// neighborhoods; settop i plays "movie-<i % titles>".
+// neighborhoods (or all in `only_neighborhood`, when set); settop i plays
+// "movie-<i % titles>".
 struct Viewers {
   std::vector<settop::VodApp*> vods;
   std::vector<uint32_t> hosts;
 };
 
-Viewers StartViewers(svc::ClusterHarness& harness, size_t count,
-                     size_t titles) {
+Viewers StartViewers(svc::ClusterHarness& harness, size_t count, size_t titles,
+                     uint8_t only_neighborhood = 0) {
   Viewers out;
   const size_t neighborhoods = harness.options().neighborhood_count;
   for (size_t i = 0; i < count; ++i) {
-    uint8_t nb = static_cast<uint8_t>(1 + (i % neighborhoods));
+    uint8_t nb = only_neighborhood != 0
+                     ? only_neighborhood
+                     : static_cast<uint8_t>(1 + (i % neighborhoods));
     sim::Node& settop = harness.AddSettop(nb);
     out.hosts.push_back(settop.host());
     sim::Process& p = settop.Spawn("viewer");
@@ -585,6 +588,124 @@ ReshardBenchResult RunLiveReshard(size_t settop_count) {
   return out;
 }
 
+// --- E1e: a neighborhood's server crashes under its own viewers ------------------
+//
+// A 4-server cluster on the paper's clocks; 32 settops of neighborhood 3 stream
+// through VodApps, all homed on server 3: it heads their neighborhood, holds
+// the name-service replica their lookups start at, runs the neighborhood's
+// CMgr primary and serves some of their streams. Server 3 crashes and comes
+// back 60 s later, as in itvbench's server_crash. A viewer whose stream was on
+// server 3 goes dark until its first chunk after the crash; it reopens
+// through the MMS (alive on servers 1 and 2), which needs the neighborhood's
+// CMgr standby on server 4 to take over. Every re-resolve on the way times
+// out at the dead home replica and is answered by the next one in the
+// settop's list, and the MMS's release of the interrupted session's grant
+// waits for the standby. A viewer whose reopen fails presses play again 2 s
+// later (a retry), as itvbench's server_crash viewers do.
+
+constexpr size_t kHomeCrashViewers = 32;
+constexpr double kHomeCrashRestoreS = 60;
+
+struct HomeCrashResult {
+  size_t interrupted = 0;  // Viewers streaming from the crashed server.
+  size_t resumed = 0;      // Of those, viewers that got a chunk again.
+  Histogram dark_s;        // Crash -> first chunk, per resumed viewer.
+  uint64_t retries = 0;    // Plays pressed again after a failed reopen.
+  uint64_t failovers = 0;  // naming.resolve_failover during the phase.
+  bool ok = false;
+};
+
+HomeCrashResult RunHomeCrash() {
+  constexpr size_t kServers = 4;
+  constexpr uint8_t kHome = 3;
+
+  svc::HarnessOptions opts;
+  opts.server_count = kServers;
+  opts.neighborhood_count = static_cast<uint8_t>(kServers);
+  opts.ns.audit_interval = Duration::Seconds(10);
+  opts.ras.peer_poll_interval = Duration::Seconds(5);
+  opts.ras.peer_failures_to_dead = 1;
+  opts.ras.rpc_timeout = Duration::Seconds(1);
+  opts.binder.retry_interval = Duration::Seconds(10);
+  svc::ClusterHarness harness(opts);
+
+  media::MediaDeployment deploy;
+  deploy.movies = media::SyntheticCatalog(/*count=*/8, kServers,
+                                          /*replicas=*/2);
+  deploy.mds_capacity_bps = 96'000'000;
+  media::RegisterMediaServices(harness, deploy);
+  harness.Boot();
+  harness.cluster().RunFor(Duration::Seconds(20));
+  Viewers viewers = StartViewers(harness, kHomeCrashViewers,
+                                 deploy.movies.size(), kHome);
+  harness.cluster().RunFor(Duration::Seconds(12));
+
+  HomeCrashResult out;
+  const size_t home_index = kHome - 1;
+  const uint32_t home_host = harness.HostOf(home_index);
+  std::vector<size_t> dark;
+  std::vector<uint64_t> chunk_base;
+  for (size_t i = 0; i < viewers.vods.size(); ++i) {
+    if (viewers.vods[i]->mds_host() == home_host) {
+      dark.push_back(i);
+    }
+  }
+  out.interrupted = dark.size();
+  uint64_t failover_base = harness.metrics().Get("naming.resolve_failover");
+  Time crash_at = harness.cluster().Now();
+  harness.server(home_index).Crash();
+  harness.cluster().RunFor(Duration::Seconds(1));
+  for (size_t i : dark) {
+    chunk_base.push_back(viewers.vods[i]->chunks_received());
+  }
+
+  bool restored = false;
+  std::vector<double> resumed_at(dark.size(), -1.0);
+  std::vector<double> failed_at(dark.size(), -1.0);
+  while (harness.cluster().Now() - crash_at < Duration::Seconds(120)) {
+    harness.cluster().RunFor(Duration::Millis(100));
+    double elapsed = (harness.cluster().Now() - crash_at).seconds();
+    if (!restored && elapsed >= kHomeCrashRestoreS) {
+      harness.server(home_index).Restart();
+      harness.StartSsc(home_index);
+      restored = true;
+    }
+    size_t waiting = 0;
+    for (size_t d = 0; d < dark.size(); ++d) {
+      settop::VodApp* vod = viewers.vods[dark[d]];
+      if (resumed_at[d] < 0 && vod->chunks_received() > chunk_base[d]) {
+        resumed_at[d] = elapsed;
+      }
+      if (resumed_at[d] < 0 && !vod->playing()) {
+        if (failed_at[d] < 0) {
+          failed_at[d] = elapsed;
+        } else if (elapsed - failed_at[d] >= 2.0) {
+          failed_at[d] = -1.0;
+          vod->PlayMovie(
+              "movie-" + std::to_string(dark[d] % deploy.movies.size()),
+              [](Status) {});
+          ++out.retries;
+        }
+      }
+      waiting += resumed_at[d] < 0 ? 1 : 0;
+    }
+    if (waiting == 0) {
+      break;
+    }
+  }
+  for (double at : resumed_at) {
+    if (at >= 0) {
+      ++out.resumed;
+      out.dark_s.Record(at);
+    }
+  }
+  out.failovers =
+      harness.metrics().Get("naming.resolve_failover") - failover_base;
+  out.ok = out.interrupted > 0 && out.resumed == out.interrupted &&
+           out.dark_s.Max() < kHomeCrashRestoreS;
+  return out;
+}
+
 }  // namespace
 }  // namespace itv
 
@@ -742,6 +863,41 @@ int main() {
       "timeout plus a routed\nreopen; the paper's fail-over bound is the "
       "ceiling, not the norm), misplaced = lost\n= 0, router_v = 2 — the "
       "cutover moves sessions without losing any.\n");
+
+  bench::PrintHeader(
+      "E1e: a neighborhood's server crashes under its own viewers (paper "
+      "defaults)");
+  std::printf(
+      "4 servers; %zu settops of neighborhood 3 stream, homed on server 3 "
+      "(their boot\nserver, first name-service replica and CMgr primary). "
+      "Server 3 crashes and is\nrestored %.0f s later. dark = crash -> first "
+      "chunk for each viewer whose stream\nwas on server 3; failovers counts "
+      "lookups passed to the next replica in a\nsettop's list "
+      "(naming.resolve_failover); retries counts plays pressed again after "
+      "a\nfailed reopen.\n\n",
+      kHomeCrashViewers, kHomeCrashRestoreS);
+  bench::PrintRow({"viewers", "interrupted", "resumed", "dark_p50_s",
+                   "dark_max_s", "restore_s", "retries", "failovers",
+                   "verdict"});
+  HomeCrashResult hc = RunHomeCrash();
+  bench::PrintRow({bench::FmtInt(kHomeCrashViewers),
+                   bench::FmtInt(hc.interrupted), bench::FmtInt(hc.resumed),
+                   bench::Fmt("%.1f", hc.dark_s.Percentile(50)),
+                   bench::Fmt("%.1f", hc.dark_s.Max()),
+                   bench::Fmt("%.0f", kHomeCrashRestoreS),
+                   bench::FmtInt(hc.retries), bench::FmtInt(hc.failovers),
+                   hc.ok ? "pass" : "FAIL"});
+  report.SetInt("home_crash_interrupted", hc.interrupted);
+  report.SetInt("home_crash_resumed", hc.resumed);
+  report.SetInt("home_crash_retries", hc.retries);
+  report.Set("home_crash_dark_p50_s", hc.dark_s.Percentile(50));
+  report.Set("home_crash_dark_max_s", hc.dark_s.Max());
+  report.SetInt("home_crash_resolve_failovers", hc.failovers);
+  report.SetText("home_crash_verdict", hc.ok ? "pass" : "fail");
+  std::printf(
+      "\nexpect: every interrupted viewer resumes before the restore, on the "
+      "fail-over\nclocks (CMgr standby takeover, at most 25 s), not at the "
+      "restore.\n");
 
   report.WriteMerged();
   return 0;

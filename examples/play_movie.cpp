@@ -60,8 +60,8 @@ int main() {
   say(StrFormat("settop booted in %s (carousel wait + kernel download); "
                 "name service = %u.%u.x.x",
                 am->last_boot_duration().ToString().c_str(),
-                am->boot_params().ns_host >> 24,
-                (am->boot_params().ns_host >> 16) & 0xff));
+                am->boot_params().ns_replicas.front() >> 24,
+                (am->boot_params().ns_replicas.front() >> 16) & 0xff));
 
   am->StartApp(
       "vod", [&](Status) {}, [&] { say("cover on screen (viewer sees a response)"); });

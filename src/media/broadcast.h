@@ -11,11 +11,21 @@
 // download time from the parameters it received. The observable behaviour —
 // boot latency scaling with kernel size and channel rate, and the settop
 // learning its name service address at boot — is preserved.
+//
+// The parameters carry the name service replica for this settop as the head
+// of a list: the head-end server's own replica first, then every other
+// server's in ring order (svc::ClusterHarness::NsReplicasFor). Only reads
+// fail over: each of a settop's lookups starts at the head and moves down
+// the list past a replica that cannot be reached
+// (naming::NameClient::PathResolverFn), while its writes, which a settop
+// does not make, would go to the head.
 
 #ifndef SRC_MEDIA_BROADCAST_H_
 #define SRC_MEDIA_BROADCAST_H_
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/common/future.h"
 #include "src/rpc/runtime.h"
@@ -31,7 +41,8 @@ enum BootBroadcastMethod : uint32_t {
 };
 
 struct BootParams {
-  uint32_t ns_host = 0;            // Name service replica for this settop.
+  // Name service replicas for this settop, its own first (see above).
+  std::vector<uint32_t> ns_replicas;
   uint32_t kernel_version = 0;
   int64_t kernel_size_bytes = 0;
   int64_t boot_channel_bps = 0;    // Carousel rate.
@@ -43,13 +54,13 @@ struct BootParams {
 };
 
 inline void WireWrite(wire::Writer& w, const BootParams& p) {
-  w.WriteU32(p.ns_host);
+  WireWrite(w, p.ns_replicas);
   w.WriteU32(p.kernel_version);
   w.WriteI64(p.kernel_size_bytes);
   w.WriteI64(p.boot_channel_bps);
 }
 inline void WireRead(wire::Reader& r, BootParams* p) {
-  p->ns_host = r.ReadU32();
+  WireRead(r, &p->ns_replicas);
   p->kernel_version = r.ReadU32();
   p->kernel_size_bytes = r.ReadI64();
   p->boot_channel_bps = r.ReadI64();
@@ -154,7 +165,8 @@ class KernelBroadcastService : public rpc::Skeleton {
 
 class BootBroadcastService : public rpc::Skeleton {
  public:
-  explicit BootBroadcastService(BootParams params) : params_(params) {}
+  explicit BootBroadcastService(BootParams params)
+      : params_(std::move(params)) {}
 
   std::string_view interface_name() const override {
     return kBootBroadcastInterface;

@@ -219,11 +219,11 @@ void RegisterMediaServices(svc::ClusterHarness& harness,
   harness.RegisterServiceType("bootd", [deployment](
                                            const svc::ServiceContext& ctx) {
     BootParams params;
-    params.ns_host = ctx.ns_host;
+    params.ns_replicas = *ctx.harness.NsReplicasFor(ctx.process.host());
     params.kernel_version = 1;
     params.kernel_size_bytes = deployment.kernel_size_bytes;
     params.boot_channel_bps = deployment.boot_channel_bps;
-    auto* boot = ctx.process.Emplace<BootBroadcastService>(params);
+    auto* boot = ctx.process.Emplace<BootBroadcastService>(std::move(params));
     wire::ObjectRef ref = ctx.process.runtime().ExportAt(boot, 1);
     ctx.NotifyReady({ref});
 

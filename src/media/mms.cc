@@ -14,6 +14,10 @@ namespace {
 // that hold open movies.
 constexpr Duration kRasPollInterval = Duration::Seconds(10);
 constexpr Duration kRpcTimeout = Duration::Seconds(2);
+// A Release's attempts: with the binding layer's back-off and the 30 s call
+// budget they span a CMgr standby's takeover (at most 25 s on the paper's
+// clocks).
+constexpr int kReleaseAttempts = 10;
 
 }  // namespace
 
@@ -151,9 +155,19 @@ void MmsService::SyncRound(std::function<void(Status)> done) {
       return;
     }
     std::vector<naming::Binding> replicas;
+    std::set<std::string> listed;
     for (const naming::Binding& binding : *r) {
       if (IsMdsReplica(binding)) {
         replicas.push_back(binding);
+        listed.insert(binding.name);
+      }
+    }
+    // A replica the name service no longer lists is not offered: its server
+    // died and the audit unbound it, so no round will send it a Sync that
+    // fails. Its trunk is unbound too, and an open there could only fail.
+    for (auto& [name, replica] : mds_) {
+      if (listed.count(name) == 0) {
+        replica.alive = false;
       }
     }
     if (replicas.empty()) {
@@ -251,6 +265,18 @@ rpc::BoundClient<CmgrProxy> MmsService::CmgrFor(uint8_t neighborhood) {
   rpc::BindingOptions opts = rpc::BindingTable::DefaultOptions();
   opts.max_attempts = 2;
   return bindings_.Bind<CmgrProxy>(CmgrName(neighborhood), opts);
+}
+
+void MmsService::ReleaseGrant(const ConnectionGrant& grant) {
+  rpc::BindingOptions opts = rpc::BindingTable::DefaultOptions();
+  opts.max_attempts = kReleaseAttempts;
+  uint8_t neighborhood = NeighborhoodOfHost(grant.settop_host);
+  bindings_.Bind<CmgrProxy>(CmgrName(neighborhood), opts)
+      .Call<void>(
+          [connection_id = grant.connection_id](const CmgrProxy& cmgr) {
+            return cmgr.Release(connection_id);
+          },
+          [](Result<void>) {});
 }
 
 void MmsService::HandleOpen(const std::string& title, uint32_t settop_host,
@@ -355,13 +381,7 @@ void MmsService::FinishOpen(MdsReplica* replica, const std::string& title,
           // Release the connection and handle the replica failure per
           // Section 3.5.2: rebindable errors mark the replica dead and the
           // next candidate is tried.
-          uint8_t neighborhood = NeighborhoodOfHost(settop_host);
-          CmgrFor(neighborhood)
-              .Call<void>(
-                  [grant](const CmgrProxy& cmgr) {
-                    return cmgr.Release(grant.connection_id);
-                  },
-                  [](Result<void>) {});
+          ReleaseGrant(grant);
           if (rpc::IsRebindable(ticket.status())) {
             auto it = mds_.find(mds_name);
             if (it != mds_.end() && it->second.ref == mds_ref) {
@@ -446,14 +466,7 @@ void MmsService::ReclaimSession(const wire::ObjectRef& movie, bool tell_mds) {
     }
   }
   // "...and tells the connection manager to deallocate network bandwidth."
-  uint8_t neighborhood = NeighborhoodOfHost(session.settop_host);
-  uint64_t connection_id = session.connection.connection_id;
-  CmgrFor(neighborhood)
-      .Call<void>(
-          [connection_id](const CmgrProxy& cmgr) {
-            return cmgr.Release(connection_id);
-          },
-          [](Result<void>) {});
+  ReleaseGrant(session.connection);
 }
 
 void MmsService::CloseOnMds(MdsReplica& replica, uint64_t stream_id) {
@@ -581,12 +594,20 @@ void MmsService::Dispatch(uint32_t method_id, const wire::Bytes& args,
       if (settop_host == 0) {
         settop_host = ctx.caller_endpoint.host;
       }
+      if (!Serving()) {
+        return rpc::ReplyError(
+            reply, UnavailableError("not the primary MMS replica"));
+      }
       return HandleOpen(title, settop_host, sink, std::move(reply));
     }
     case kMmsMethodClose: {
       wire::ObjectRef movie;
       if (!rpc::DecodeArgs(args, &movie)) {
         return rpc::ReplyBadArgs(reply);
+      }
+      if (!Serving()) {
+        return rpc::ReplyError(
+            reply, UnavailableError("not the primary MMS replica"));
       }
       return HandleClose(movie, std::move(reply));
     }

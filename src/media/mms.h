@@ -11,9 +11,11 @@
 // round is one ListRepl("svc/mds") plus one MdsProxy::Sync per replica, whose
 // reply carries the replica's titles, its load (with the load sequence) and
 // its sessions. A replica that answers is alive; the round refreshes its
-// directory entry, takes its load and adopts its sessions. Open and Close
-// replies carry the replica's load too, and the newest of all three replies
-// is the load the MMS balances with: there is no local estimate to reconcile.
+// directory entry, takes its load and adopts its sessions. One that does not
+// answer, or that ListRepl no longer lists, is not offered to opens. Open
+// and Close replies carry the replica's load too, and the newest of all
+// three replies is the load the MMS balances with: there is no local
+// estimate to reconcile.
 // Only the primary runs rounds: one every refresh tick, and the one
 // RecoverState runs on winning the binding. Backups send no Sync.
 //
@@ -182,6 +184,12 @@ class MmsService : public rpc::Skeleton {
   bool is_primary() const {
     return lifecycle_ != nullptr && lifecycle_->is_primary();
   }
+  // Serves opens and closes: the primary, or a replica driven without a
+  // lifecycle (tests that call its hooks directly). Any other replica (it
+  // lost its binding, or is still recovering) holds no sessions and no live
+  // view of the MDSes, so it answers UNAVAILABLE, as a non-primary CMgr does,
+  // and the caller's binding layer resolves the name again.
+  bool Serving() const { return lifecycle_ == nullptr || is_primary(); }
   wire::ObjectRef ref() const { return ref_; }
   size_t session_count() const { return sessions_.size(); }
   size_t watch_count() const { return audit_->watch_count(); }
@@ -266,6 +274,10 @@ class MmsService : public rpc::Skeleton {
   size_t DrainMovedSessions();
 
   rpc::BoundClient<CmgrProxy> CmgrFor(uint8_t neighborhood);
+  // Returns a grant to the settop's neighborhood CMgr, retrying through its
+  // fail-over: a dropped Release holds the settop's bandwidth until the grant
+  // audit, which needs the serving MDS to answer.
+  void ReleaseGrant(const ConnectionGrant& grant);
   bool OwnsSettop(uint32_t settop_host) const {
     return wire::ShardOf(settop_host, options_.shard_map) ==
            options_.shard_index;

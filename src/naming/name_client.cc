@@ -5,6 +5,44 @@
 
 namespace itv::naming {
 
+NameClient::NameClient(rpc::ObjectRuntime& runtime,
+                       std::shared_ptr<const std::vector<uint32_t>> replicas,
+                       uint16_t ns_port)
+    : runtime_(runtime), replicas_(std::move(replicas)), port_(ns_port) {
+  ITV_CHECK(replicas_ != nullptr && !replicas_->empty());
+}
+
+rpc::PathResolver NameClient::PathResolverFn() const {
+  return [client = *this](const std::string& path,
+                          std::function<void(Result<wire::ObjectRef>)> cb) {
+    trace::Tracer* tracer = client.runtime().tracer();
+    client.ResolveAt(
+        SplitPath(path), 0,
+        tracer != nullptr ? tracer->current() : trace::TraceContext(),
+        std::move(cb));
+  };
+}
+
+void NameClient::ResolveAt(
+    Name name, size_t index, trace::TraceContext op,
+    std::function<void(Result<wire::ObjectRef>)> cb) const {
+  trace::ScopedContext scoped(runtime_.tracer(), op);
+  NamingContextProxy(runtime_, ReplicaRoot(index))
+      .Resolve(name)
+      .OnReady([client = *this, name, index, op,
+                cb = std::move(cb)](const Result<wire::ObjectRef>& r) mutable {
+        if (!rpc::IsRebindable(r.status()) ||
+            index + 1 == client.replica_count()) {
+          cb(r);
+          return;
+        }
+        if (Metrics* metrics = client.runtime().metrics()) {
+          metrics->Add("naming.resolve_failover");
+        }
+        client.ResolveAt(std::move(name), index + 1, op, std::move(cb));
+      });
+}
+
 namespace {
 
 void EnsureStep(Executor& executor, NameClient client, Name path, size_t depth,

@@ -13,11 +13,14 @@
 #define SRC_NAMING_NAME_CLIENT_H_
 
 #include <functional>
+#include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "src/common/executor.h"
 #include "src/common/metrics.h"
+#include "src/common/trace.h"
 #include "src/naming/stubs.h"
 #include "src/rpc/binding_table.h"
 #include "src/wire/shard_map.h"
@@ -26,16 +29,26 @@ namespace itv::naming {
 
 class NameClient {
  public:
-  // Bootstrap from the name service address handed out at boot (paper
-  // Section 3.4.1); the reference survives name service restarts.
+  // Bootstrap from one name service replica, as a server process does from
+  // its own; the reference survives name service restarts.
   NameClient(rpc::ObjectRuntime& runtime, uint32_t ns_host,
              uint16_t ns_port = kNameServicePort)
-      : runtime_(runtime), root_(BootstrapRootRef(ns_host, ns_port)) {}
+      : NameClient(runtime,
+                   std::make_shared<const std::vector<uint32_t>>(
+                       std::vector<uint32_t>{ns_host}),
+                   ns_port) {}
 
-  NameClient(rpc::ObjectRuntime& runtime, wire::ObjectRef root)
-      : runtime_(runtime), root_(root) {}
+  // Bootstrap from an ordered replica list, as a settop does from its boot
+  // parameters (paper Section 3.4.1): the home replica first, the replicas
+  // reads fall back to after it. Every call but PathResolverFn's goes to the
+  // home replica. The list is shared, never copied, between the clients
+  // built from it.
+  NameClient(rpc::ObjectRuntime& runtime,
+             std::shared_ptr<const std::vector<uint32_t>> replicas,
+             uint16_t ns_port = kNameServicePort);
 
-  const wire::ObjectRef& root() const { return root_; }
+  // The home replica's root context.
+  wire::ObjectRef root() const { return ReplicaRoot(0); }
   rpc::ObjectRuntime& runtime() const { return runtime_; }
 
   Future<wire::ObjectRef> Resolve(const std::string& path) const {
@@ -75,22 +88,32 @@ class NameClient {
 
   // Adapts this client into the binding layer's resolver: a per-process
   // rpc::BindingTable constructed with this resolves every binding path
-  // through the name service.
-  rpc::PathResolver PathResolverFn() const {
-    return [client = *this](const std::string& path,
-                            std::function<void(Result<wire::ObjectRef>)> cb) {
-      client.Resolve(path).OnReady(
-          [cb](const Result<wire::ObjectRef>& r) { cb(r); });
-    };
-  }
+  // through the name service. Any replica serves reads (paper Section 4.6),
+  // so each lookup starts at the home replica, and a replica that cannot be
+  // reached (UNAVAILABLE or DEADLINE_EXCEEDED from the lookup itself) passes
+  // it to the next one in list order; the last replica's error surfaces. Any
+  // answer, NOT_FOUND included, is returned as it is. No state is kept
+  // between lookups. Each move is counted as naming.resolve_failover.
+  rpc::PathResolver PathResolverFn() const;
 
  private:
   NamingContextProxy Proxy() const {
-    return NamingContextProxy(runtime_, root_);
+    return NamingContextProxy(runtime_, root());
+  }
+
+  // Resolves `name` at replica `index`, then down the list while a replica
+  // cannot be reached.
+  void ResolveAt(Name name, size_t index, trace::TraceContext op,
+                 std::function<void(Result<wire::ObjectRef>)> cb) const;
+
+  size_t replica_count() const { return replicas_->size(); }
+  wire::ObjectRef ReplicaRoot(size_t index) const {
+    return BootstrapRootRef((*replicas_)[index], port_);
   }
 
   rpc::ObjectRuntime& runtime_;
-  wire::ObjectRef root_;
+  std::shared_ptr<const std::vector<uint32_t>> replicas_;  // Never empty.
+  uint16_t port_;
 };
 
 // Creates every component of `path` as a nested plain context, treating

@@ -69,7 +69,7 @@ void AppManager::Boot(std::function<void(Status)> done) {
       runtime_, media::BootBroadcastRefAt(options_.boot_server_host));
   boot.GetBootParams(my_host())
       .OnReady([this, done](const Result<media::BootParams>& params) {
-        if (!params.ok()) {
+        if (!params.ok() || params->ns_replicas.empty()) {
           // The broadcast carousel is continuous: keep listening.
           executor_.ScheduleAfter(Duration::Seconds(1), [this, done] {
             state_ = State::kOff;
@@ -88,7 +88,8 @@ void AppManager::Boot(std::function<void(Status)> done) {
           state_ = State::kRunning;
           boot_duration_ = executor_.Now() - boot_started_;
           name_client_ = std::make_unique<naming::NameClient>(
-              runtime_, boot_params_.ns_host);
+              runtime_, std::make_shared<const std::vector<uint32_t>>(
+                            boot_params_.ns_replicas));
           bindings_ = std::make_unique<rpc::BindingTable>(
               runtime_, name_client_->PathResolverFn());
           rds_ = bindings_->Bind<media::RdsProxy>("svc/rds",

@@ -1,7 +1,7 @@
 // Settop Application Manager (paper Sections 3.4.1-3.4.3).
 //
-// Boot: obtain boot parameters (name service address, kernel size) from the
-// head-end's broadcast channel, sit through the carousel + kernel download,
+// Boot: obtain boot parameters (name service replica list, kernel size) from
+// the head-end's broadcast channel, sit through the carousel + kernel download,
 // then run. "The AM receives channel change events from the remote control
 // and downloads the appropriate application when a subscriber tunes to a
 // channel that provides interactive services."

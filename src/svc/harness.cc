@@ -73,6 +73,14 @@ ClusterHarness::ClusterHarness(HarnessOptions options)
     disks_[node.host()] = std::make_unique<db::MemoryDisk>();
     launchers_[node.host()] = std::make_unique<NodeLauncher>(*this, node);
   }
+  for (size_t home = 0; home < servers_.size(); ++home) {
+    std::vector<uint32_t> ring;
+    for (size_t k = 0; k < servers_.size(); ++k) {
+      ring.push_back(HostOf((home + k) % servers_.size()));
+    }
+    ns_rings_.push_back(
+        std::make_shared<const std::vector<uint32_t>>(std::move(ring)));
+  }
   well_known_ports_["nsd"] = naming::kNameServicePort;
   well_known_ports_["rasd"] = ras::kRasPort;
   well_known_ports_["dbd"] = db::kDatabasePort;
@@ -147,7 +155,22 @@ sim::Process& ClusterHarness::SpawnProcessOn(size_t server_index,
 }
 
 naming::NameClient ClusterHarness::ClientFor(sim::Process& process) const {
+  if (IsSettopHost(process.host())) {
+    return naming::NameClient(process.runtime(), NsReplicasFor(process.host()));
+  }
   return naming::NameClient(process.runtime(), NsHostFor(process.host()));
+}
+
+std::shared_ptr<const std::vector<uint32_t>> ClusterHarness::NsReplicasFor(
+    uint32_t node_host) const {
+  uint32_t home = NsHostFor(node_host);
+  for (size_t i = 0; i < servers_.size(); ++i) {
+    if (HostOf(i) == home) {
+      return ns_rings_[i];
+    }
+  }
+  ITV_LOG(Fatal) << "no name-service replica on host " << home;
+  return nullptr;
 }
 
 std::vector<wire::Endpoint> ClusterHarness::NsPeers() const {

@@ -118,8 +118,14 @@ class ClusterHarness {
   // --- Clients ----------------------------------------------------------------
   sim::Process& SpawnProcessOn(size_t server_index, const std::string& name);
   // NameClient bootstrapped against the right NS replica for the process's
-  // node (its own server, or its neighborhood's server for settops).
+  // node: its own server's, which dies with it, or for a settop the list
+  // NsReplicasFor gives, the one a settop's boot broadcast carries.
   naming::NameClient ClientFor(sim::Process& process) const;
+  // The name-service replicas a node reads from: its home replica (NsHostFor)
+  // first, then every other server's in ring order. One list per home
+  // replica, shared by every client built from it.
+  std::shared_ptr<const std::vector<uint32_t>> NsReplicasFor(
+      uint32_t node_host) const;
 
   // --- Internals shared with the launcher & tests ------------------------------
   db::MemoryDisk& DiskFor(uint32_t host);
@@ -156,6 +162,8 @@ class ClusterHarness {
   HarnessOptions options_;
   sim::Cluster cluster_;
   std::vector<sim::Node*> servers_;
+  // NsReplicasFor's lists, by the home server's index.
+  std::vector<std::shared_ptr<const std::vector<uint32_t>>> ns_rings_;
   std::map<std::string, ServiceFactory> factories_;
   std::map<std::string, uint16_t> well_known_ports_;
   std::map<uint32_t, std::unique_ptr<db::MemoryDisk>> disks_;

@@ -25,8 +25,9 @@ namespace {
 class MediaTest : public ::testing::Test {
  protected:
   MediaTest() : MediaTest(DefaultDeployment()) {}
-  explicit MediaTest(const MediaDeployment& deploy)
-      : harness_(MakeHarnessOptions()) {
+  explicit MediaTest(const MediaDeployment& deploy,
+                     const svc::HarnessOptions& options = MakeHarnessOptions())
+      : harness_(options) {
     RegisterMediaServices(harness_, deploy);
     harness_.Boot();
     // Let the CSC place and start the media services.
@@ -73,6 +74,37 @@ class MediaTest : public ::testing::Test {
   };
 
   TestSettop MakeSettop(uint8_t neighborhood, bool with_cover = false) {
+    TestSettop s = BootSettop(neighborhood, with_cover);
+    settop::VodApp::Options vod_opts;
+    s.vod = s.process->Emplace<settop::VodApp>(
+        s.process->runtime(), s.process->executor(), s.am->name_client(),
+        vod_opts, &metrics());
+    return s;
+  }
+
+  // The MMS replica that is not `primary`. It is bound nowhere; its host's
+  // SSC lists it.
+  wire::ObjectRef BackupMmsRef(sim::Process& probe,
+                               const wire::ObjectRef& primary) {
+    uint32_t backup_host = harness_.HostOf(0) == primary.endpoint.host
+                               ? harness_.HostOf(1)
+                               : harness_.HostOf(0);
+    auto objects = svc::SscProxy(probe.runtime(), svc::SscRefAt(backup_host))
+                       .ListObjects();
+    cluster().RunFor(Duration::Seconds(1));
+    wire::ObjectRef backup;
+    if (objects.is_ready() && objects.result().ok()) {
+      for (const wire::ObjectRef& ref : *objects.result()) {
+        if (ref.type_id == wire::TypeIdFromName(kMmsInterface)) {
+          backup = ref;
+        }
+      }
+    }
+    return backup;
+  }
+
+  // A settop whose application manager has booted, with no VodApp yet.
+  TestSettop BootSettop(uint8_t neighborhood, bool with_cover = false) {
     TestSettop s;
     s.node = &harness_.AddSettop(neighborhood);
     s.process = &s.node->Spawn("am");
@@ -87,11 +119,6 @@ class MediaTest : public ::testing::Test {
     s.am->Boot([&](Status st) { booted = st.ok(); });
     cluster().RunFor(Duration::Seconds(8));
     EXPECT_TRUE(booted);
-
-    settop::VodApp::Options vod_opts;
-    s.vod = s.process->Emplace<settop::VodApp>(
-        s.process->runtime(), s.process->executor(), s.am->name_client(),
-        vod_opts, &metrics());
     return s;
   }
 
@@ -251,8 +278,10 @@ TEST_F(MediaTest, MmsSyncsEachReplicaOncePerRound) {
 TEST_F(MediaTest, SettopBootLearnsNameServiceAndHeartbeats) {
   TestSettop s = MakeSettop(2);
   EXPECT_TRUE(s.am->running());
-  EXPECT_EQ(s.am->boot_params().ns_host,
-            harness_.ServerHostForNeighborhood(2));
+  // Its own head-end's replica first, then the other server's.
+  EXPECT_EQ(s.am->boot_params().ns_replicas,
+            (std::vector<uint32_t>{harness_.ServerHostForNeighborhood(2),
+                                   harness_.ServerHostForNeighborhood(1)}));
   // Boot = half carousel (1 s) + kernel transfer (2 s) plus a little RPC.
   EXPECT_GE(s.am->last_boot_duration(), Duration::Seconds(2.9));
   EXPECT_LE(s.am->last_boot_duration(), Duration::Seconds(3.5));
@@ -622,6 +651,35 @@ TEST_F(MediaTest, MmsFailoverAdoptsRunningSessions) {
   EXPECT_EQ(load1->active_streams + load2->active_streams, 0u);
 }
 
+TEST_F(MediaTest, MmsBackupSendsOpensAndClosesBackToTheNameService) {
+  // A replica that is not primary holds no sessions and no view of the
+  // MDSes. It answers an open or a close with UNAVAILABLE, which makes the
+  // caller's binding layer resolve the name again, rather than an answer
+  // drawn from its empty tables (NOT_FOUND, which a client never retries).
+  TestSettop s = MakeSettop(1);
+  s.vod->PlayMovie("T2", [](Status) {});
+  cluster().RunFor(Duration::Seconds(10));
+  ASSERT_TRUE(s.vod->playing());
+
+  sim::Process& probe = harness_.SpawnProcessOn(0, "probe");
+  auto primary = harness_.ClientFor(probe).Resolve(std::string(kMmsName));
+  cluster().RunFor(Duration::Seconds(2));
+  ASSERT_TRUE(primary.is_ready() && primary.result().ok());
+  const wire::ObjectRef backup_ref =
+      BackupMmsRef(probe, primary.result().value());
+  ASSERT_NE(backup_ref.endpoint.host, primary.result()->endpoint.host);
+
+  MmsProxy backup(probe.runtime(), backup_ref);
+  auto open = backup.Open("T2", s.node->host(), wire::ObjectRef());
+  auto close = backup.Close(wire::ObjectRef());
+  cluster().RunFor(Duration::Seconds(1));
+  ASSERT_TRUE(open.is_ready() && close.is_ready());
+  EXPECT_TRUE(IsUnavailable(open.result().status())) << open.result().status();
+  EXPECT_TRUE(IsUnavailable(close.result().status()))
+      << close.result().status();
+  EXPECT_TRUE(s.vod->playing());
+}
+
 TEST_F(MediaTest, MmsBackupHoldsNothingAndAPrimaryKillAdoptsEverySession) {
   // While the primary streams, the backup MMS sends no Sync and holds no
   // session. Killing the primary loses nothing: the promotion round of
@@ -642,21 +700,8 @@ TEST_F(MediaTest, MmsBackupHoldsNothingAndAPrimaryKillAdoptsEverySession) {
   cluster().RunFor(Duration::Seconds(2));
   ASSERT_TRUE(primary.is_ready() && primary.result().ok());
   const wire::ObjectRef primary_ref = primary.result().value();
-  // The backup's MMS object is bound nowhere; its host's SSC lists it.
-  uint32_t backup_host = harness_.HostOf(0) == primary_ref.endpoint.host
-                             ? harness_.HostOf(1)
-                             : harness_.HostOf(0);
-  auto objects =
-      svc::SscProxy(probe.runtime(), svc::SscRefAt(backup_host)).ListObjects();
-  cluster().RunFor(Duration::Seconds(1));
-  ASSERT_TRUE(objects.is_ready() && objects.result().ok());
-  wire::ObjectRef backup_ref;
-  for (const wire::ObjectRef& ref : *objects.result()) {
-    if (ref.type_id == wire::TypeIdFromName(kMmsInterface)) {
-      backup_ref = ref;
-    }
-  }
-  ASSERT_EQ(backup_ref.endpoint.host, backup_host);
+  const wire::ObjectRef backup_ref = BackupMmsRef(probe, primary_ref);
+  ASSERT_NE(backup_ref.endpoint.host, primary_ref.endpoint.host);
 
   auto count_at = [&](const wire::ObjectRef& ref) -> uint32_t {
     auto n = MmsProxy(probe.runtime(), ref).ListSessions();
@@ -1123,6 +1168,224 @@ TEST_F(MediaSurfTest, SurfingLeavesNoSessionsBehind) {
   // The race did happen: the fix had closes to keep from re-adoption.
   EXPECT_GT(metrics().Get("vod.stopped"), 1000u);
   EXPECT_GT(metrics().Get("mms.session_closing_skipped"), 0u);
+}
+
+// --- A neighborhood's server crashes and stays down -------------------------------
+//
+// Four servers, one neighborhood each. Server 3 heads neighborhood 3: its
+// settops boot from it and read from its name-service replica first, and it
+// runs that neighborhood's CMgr primary (the standby is on server 4) and an
+// MDS. The MMS runs on servers 1 and 2. Nothing restores server 3, so a
+// settop that only asked its home replica could never resolve a name again.
+class MediaHomeCrashTest : public MediaTest {
+ protected:
+  static constexpr uint8_t kNeighborhood = 3;
+
+  MediaHomeCrashTest() : MediaHomeCrashTest(CrashDeployment()) {}
+  explicit MediaHomeCrashTest(const MediaDeployment& deploy)
+      : MediaTest(deploy, CrashHarnessOptions()) {}
+
+  static MediaDeployment CrashDeployment() {
+    MediaDeployment deploy = DefaultDeployment();
+    // On the server that crashes and on server 1.
+    deploy.movies.push_back(
+        {MovieInfo{"local", 3'000'000, MovieBytes(3'000'000, 3600)}, {2, 0}});
+    return deploy;
+  }
+
+  // On the paper's fail-over clocks, as in bench_failover's E1e: the CMgr
+  // standby takes over about 10 s after the crash.
+  static svc::HarnessOptions CrashHarnessOptions() {
+    svc::HarnessOptions opts = MakeHarnessOptions();
+    opts.server_count = 4;
+    opts.neighborhood_count = 4;
+    opts.ns.audit_interval = Duration::Seconds(10);
+    opts.ras.peer_poll_interval = Duration::Seconds(5);
+    opts.ras.peer_failures_to_dead = 1;
+    opts.ras.rpc_timeout = Duration::Seconds(1);
+    opts.binder.retry_interval = Duration::Seconds(10);
+    return opts;
+  }
+
+  sim::Node& home() { return harness_.server(kNeighborhood - 1); }
+
+  // A VodApp that keeps retrying through the CMgr's fail-over.
+  settop::VodApp* StartVod(const TestSettop& s) {
+    settop::VodApp::Options opts;
+    opts.mms_rebind.max_attempts = 50;
+    opts.mms_rebind.initial_backoff = Duration::Millis(500);
+    opts.mms_rebind.backoff_multiplier = 1.2;
+    opts.mms_rebind.deadline = Duration::Seconds(60);
+    return s.process->Emplace<settop::VodApp>(
+        s.process->runtime(), s.process->executor(), s.am->name_client(), opts,
+        &metrics());
+  }
+
+  struct Viewer {
+    settop::VodApp* vod = nullptr;
+    uint32_t host = 0;
+  };
+
+  // Two viewers of "local": the least-loaded pick puts one on each replica,
+  // so one of them streams from the server that crashes. Returns that one.
+  Viewer StartVictim() {
+    TestSettop a = BootSettop(kNeighborhood);
+    TestSettop b = BootSettop(kNeighborhood);
+    Viewer viewers[] = {{StartVod(a), a.node->host()},
+                        {StartVod(b), b.node->host()}};
+    for (const Viewer& viewer : viewers) {
+      viewer.vod->PlayMovie("local", [](Status) {});
+      cluster().RunFor(Duration::Seconds(2));
+    }
+    cluster().RunFor(Duration::Seconds(8));
+    Viewer victim;
+    for (const Viewer& viewer : viewers) {
+      EXPECT_TRUE(viewer.vod->playing());
+      if (viewer.vod->mds_host() == home().host()) {
+        victim = viewer;
+      }
+    }
+    return victim;
+  }
+};
+
+TEST_F(MediaHomeCrashTest, ColdOpenResolvesPastTheDeadHomeReplica) {
+  TestSettop s = BootSettop(kNeighborhood);
+  ASSERT_EQ(s.am->boot_params().ns_replicas.front(), home().host());
+  home().Crash();
+  Time crashed = cluster().Now();
+
+  // A fresh VodApp: its open resolves svc/mms with nothing cached.
+  settop::VodApp* vod = StartVod(s);
+  uint64_t failovers = metrics().Get("naming.resolve_failover");
+  vod->PlayMovie("T2", [](Status) {});
+  while (vod->chunks_received() == 0 &&
+         cluster().Now() - crashed < Duration::Seconds(30)) {
+    cluster().RunFor(Duration::Millis(250));
+  }
+  EXPECT_GT(vod->chunks_received(), 0u)
+      << "still waiting " << (cluster().Now() - crashed).ToString()
+      << " after the crash";
+  EXPECT_TRUE(vod->playing());
+  EXPECT_GT(metrics().Get("naming.resolve_failover"), failovers);
+}
+
+TEST_F(MediaHomeCrashTest, PlayingViewerResumesBeforeAnyRestore) {
+  Viewer victim = StartVictim();
+  ASSERT_NE(victim.vod, nullptr);
+  home().Crash();
+  Time crashed = cluster().Now();
+  cluster().RunFor(Duration::Seconds(1));
+  uint64_t chunks = victim.vod->chunks_received();
+  while (victim.vod->chunks_received() == chunks &&
+         cluster().Now() - crashed < Duration::Seconds(40)) {
+    cluster().RunFor(Duration::Millis(250));
+  }
+  EXPECT_GT(victim.vod->chunks_received(), chunks)
+      << "no chunk " << (cluster().Now() - crashed).ToString()
+      << " after the crash";
+  EXPECT_TRUE(victim.vod->playing());
+  EXPECT_EQ(victim.vod->mds_host(), harness_.HostOf(0));
+}
+
+TEST_F(MediaHomeCrashTest, InterruptedGrantIsReleasedThroughTheCmgrFailover) {
+  // The viewer's reopen closes its dead session, and the MMS's Release of
+  // that session's grant meets the neighborhood's CMgr primary dead with
+  // server 3. The Release must outlast the standby's takeover: the grant
+  // audit cannot reclaim a grant on a server that is down, so a dropped
+  // Release would keep the settop's bandwidth until a restore.
+  Viewer victim = StartVictim();
+  ASSERT_NE(victim.vod, nullptr);
+  sim::Process& probe = harness_.SpawnProcessOn(0, "probe");
+  auto primary = harness_.ClientFor(probe).Resolve(CmgrName(kNeighborhood));
+  cluster().RunFor(Duration::Seconds(1));
+  ASSERT_TRUE(primary.is_ready() && primary.result().ok());
+  ASSERT_EQ(primary.result()->endpoint.host, home().host());
+
+  home().Crash();
+  cluster().RunFor(Duration::Seconds(40));
+  auto standby = harness_.ClientFor(probe).Resolve(CmgrName(kNeighborhood));
+  cluster().RunFor(Duration::Seconds(1));
+  ASSERT_TRUE(standby.is_ready() && standby.result().ok())
+      << standby.result().status();
+  ASSERT_EQ(standby.result()->endpoint.host, harness_.HostOf(3));
+  auto grants =
+      CmgrProxy(probe.runtime(), standby.result().value()).ListConnections();
+  cluster().RunFor(Duration::Seconds(1));
+  ASSERT_TRUE(grants.is_ready() && grants.result().ok());
+  for (const ConnectionGrant& grant : grants.result().value()) {
+    EXPECT_FALSE(grant.settop_host == victim.host &&
+                 grant.server_host == home().host())
+        << "connection " << grant.connection_id
+        << " on the crashed server still held";
+  }
+}
+
+// The MMS's sync round runs every 20 s, slower than the name service
+// unbinds a dead server's objects.
+class MediaHomeCrashSlowSyncTest : public MediaHomeCrashTest {
+ protected:
+  MediaHomeCrashSlowSyncTest() : MediaHomeCrashTest(SlowSyncDeployment()) {}
+
+  static MediaDeployment SlowSyncDeployment() {
+    MediaDeployment deploy = CrashDeployment();
+    deploy.mms.mds_refresh_interval = Duration::Seconds(20);
+    return deploy;
+  }
+};
+
+TEST_F(MediaHomeCrashSlowSyncTest, MmsStopsOfferingAnMdsTheNameServiceUnbound) {
+  // "local" is on servers 3 and 1, and one stream of it on server 1 makes
+  // server 3 the MMS's least-loaded pick. Server 3 crashes just after the
+  // MMS's round has heard from its MDS, and the name service unbinds that
+  // MDS before the next round, so no Sync to it ever fails. The next round
+  // must stop offering it: a later open goes to server 1 instead of failing
+  // on the dead server's unbound trunk (NOT_FOUND, which no viewer retries).
+  TestSettop a = BootSettop(1);
+  settop::VodApp* first = StartVod(a);
+  first->PlayMovie("local", [](Status) {});
+  cluster().RunFor(Duration::Seconds(3));
+  ASSERT_TRUE(first->playing());
+  ASSERT_EQ(first->mds_host(), harness_.HostOf(0));
+
+  sim::Process& probe = harness_.SpawnProcessOn(0, "probe");
+  auto mms = harness_.ClientFor(probe).Resolve(std::string(kMmsName));
+  cluster().RunFor(Duration::Seconds(1));
+  ASSERT_TRUE(mms.is_ready() && mms.result().ok());
+  const uint32_t mms_host = mms.result()->endpoint.host;
+  // The MMS's Sync request to server 3's MDS, then its reply.
+  uint64_t sync_call = 0;
+  bool synced = false;
+  cluster().network().SetTap([&, mms_host, mds_host = home().host()](
+                                 const wire::Endpoint& src,
+                                 const wire::Endpoint& dst,
+                                 const wire::Message& msg) {
+    if (msg.kind == wire::MsgKind::kRequest && src.host == mms_host &&
+        dst.host == mds_host &&
+        msg.type_id == wire::TypeIdFromName(kMdsInterface) &&
+        msg.method_id == kMdsMethodSync) {
+      sync_call = msg.call_id;
+    } else if (msg.kind == wire::MsgKind::kReply && sync_call != 0 &&
+               msg.call_id == sync_call && src.host == mds_host) {
+      synced = true;
+    }
+  });
+  for (int step = 0; step < 250 && !synced; ++step) {
+    cluster().RunFor(Duration::Millis(100));
+  }
+  ASSERT_TRUE(synced);
+  home().Crash();
+  cluster().network().SetTap(nullptr);
+  cluster().RunFor(Duration::Seconds(25));  // Unbound, then one more round.
+
+  TestSettop b = BootSettop(1);
+  settop::VodApp* second = StartVod(b);
+  Status opened = OkStatus();
+  second->PlayMovie("local", [&opened](Status s) { opened = s; });
+  cluster().RunFor(Duration::Seconds(5));
+  EXPECT_TRUE(opened.ok()) << opened;
+  EXPECT_TRUE(second->playing());
+  EXPECT_EQ(second->mds_host(), harness_.HostOf(0));
 }
 
 class MediaReorderTest : public MediaTest {

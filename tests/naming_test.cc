@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -733,6 +735,87 @@ TEST_F(ThreeReplicaTest, MasterCrashTriggersReelectionAndUpdatesResume) {
   NameClient nc2(client.runtime(), servers_[survivor]->host());
   auto r = Wait(nc2.Bind("svc/after", FakeRef(5, 5)), Duration::Seconds(10));
   EXPECT_TRUE(r.ok()) << r.status();
+}
+
+TEST_F(ThreeReplicaTest, ResolverFailsOverPastADeadHomeReplica) {
+  // A settop's lookups start at its home replica and fall back in ring order
+  // (paper Section 4.6: any replica serves reads). No state is kept between
+  // lookups: while the home replica is dead, each lookup pays its timeout.
+  sim::Process& client = SpawnClient();
+  NameClient setup(client.runtime(), servers_[1]->host());
+  ASSERT_TRUE(Wait(setup.BindNewContext("svc")).ok());
+  ASSERT_TRUE(Wait(setup.Bind("svc/x", FakeRef(1, 1))).ok());
+  cluster_.RunFor(Duration::Seconds(3));
+
+  std::vector<uint32_t> hosts;
+  for (sim::Node* server : servers_) {
+    hosts.push_back(server->host());
+  }
+  NameClient nc(client.runtime(),
+                std::make_shared<const std::vector<uint32_t>>(hosts));
+  rpc::PathResolver resolver = nc.PathResolverFn();
+  auto resolve = [&](const std::string& path) {
+    Promise<wire::ObjectRef> done;
+    Future<wire::ObjectRef> f = done.future();
+    resolver(path, [done](Result<wire::ObjectRef> r) mutable {
+      done.Set(std::move(r));
+    });
+    return Wait(f, Duration::Seconds(10));
+  };
+  // The client's lookups, by replica host.
+  std::map<uint32_t, int> requests;
+  cluster_.network().SetTap([&requests, me = client.host()](
+                                const wire::Endpoint& src,
+                                const wire::Endpoint& dst,
+                                const wire::Message& msg) {
+    if (msg.kind == wire::MsgKind::kRequest && src.host == me) {
+      ++requests[dst.host];
+    }
+  });
+  auto failovers = [this] {
+    return cluster_.metrics().Get("naming.resolve_failover");
+  };
+
+  servers_[0]->Crash();
+  auto first = resolve("svc/x");
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_EQ(*first, FakeRef(1, 1));
+  EXPECT_EQ(requests[hosts[0]], 1);
+  EXPECT_EQ(requests[hosts[1]], 1);
+  EXPECT_EQ(failovers(), 1u);
+
+  // The second lookup starts at the home replica again.
+  requests.clear();
+  auto second = resolve("svc/x");
+  ASSERT_TRUE(second.ok()) << second.status();
+  EXPECT_EQ(requests[hosts[0]], 1);
+  EXPECT_EQ(requests[hosts[1]], 1);
+  EXPECT_EQ(requests[hosts[2]], 0);
+  EXPECT_EQ(failovers(), 2u);
+
+  // NOT_FOUND is an answer: no further replica is asked.
+  requests.clear();
+  auto missing = resolve("svc/nothing");
+  EXPECT_TRUE(IsNotFound(missing.status())) << missing.status();
+  EXPECT_EQ(requests[hosts[1]], 1);
+  EXPECT_EQ(requests[hosts[2]], 0);
+  EXPECT_EQ(failovers(), 3u);
+
+  // With every replica unreachable, one pass ends on the last replica's
+  // timeout.
+  servers_[1]->Crash();
+  servers_[2]->Crash();
+  requests.clear();
+  auto none = resolve("svc/x");
+  EXPECT_TRUE(IsDeadlineExceeded(none.status())) << none.status();
+  EXPECT_NE(none.status().message().find(
+                wire::Endpoint{hosts[2], kNameServicePort}.ToString()),
+            std::string::npos)
+      << none.status();
+  for (uint32_t host : hosts) {
+    EXPECT_EQ(requests[host], 1) << host;
+  }
+  EXPECT_EQ(failovers(), 5u);
 }
 
 TEST_F(ThreeReplicaTest, QuorumLossFreezesUpdatesButReadsStayLocal) {

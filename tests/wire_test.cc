@@ -7,6 +7,7 @@
 
 #include "src/load/admission.h"
 #include "src/load/load_board.h"
+#include "src/media/broadcast.h"
 #include "src/media/mds.h"
 #include "src/wire/message.h"
 #include "src/wire/object_ref.h"
@@ -323,6 +324,31 @@ TEST(MediaWireTest, MdsSyncRoundTrip) {
   legacy.WriteI64(48'000'000);
   media::MdsLoad load;
   EXPECT_FALSE(DecodeValue(legacy.bytes(), &load));
+}
+
+TEST(MediaWireTest, BootParamsRoundTripKeepsReplicaOrder) {
+  // The replica list leads the boot parameters, home replica first: the
+  // settop's lookups fall back down it in this order.
+  media::BootParams in;
+  in.ns_replicas = {0x0a000301, 0x0a000101, 0x0a000201};
+  in.kernel_version = 3;
+  in.kernel_size_bytes = 2'000'000;
+  in.boot_channel_bps = 8'000'000;
+  Bytes b = EncodeValue(in);
+  media::BootParams out;
+  ASSERT_TRUE(DecodeValue(b, &out));
+  EXPECT_EQ(out.ns_replicas, in.ns_replicas);
+  EXPECT_EQ(out.kernel_version, 3u);
+  EXPECT_EQ(out.kernel_size_bytes, 2'000'000);
+  EXPECT_EQ(out.boot_channel_bps, 8'000'000);
+
+  Reader r(b);
+  EXPECT_EQ(r.ReadU32(), 3u);  // List length.
+  EXPECT_EQ(r.ReadU32(), 0x0a000301u);
+
+  // A truncated reply does not decode.
+  b.resize(b.size() - 1);
+  EXPECT_FALSE(DecodeValue(b, &out));
 }
 
 TEST(MediaWireTest, MovieTicketRoundTripAndLegacyDecode) {

@@ -21,9 +21,15 @@
 // entirely. Each cluster size runs twice — a fresh table per call (cache
 // off), then one table per settop (cache on) — on identical workloads, and
 // the surf-phase msgs/open and NS resolve counts are reported for both.
+//
+// E2d measures what the cluster sends while sessions stream and nothing
+// opens, at 1..16 servers, and fails the bench if the MDS Sync load per
+// server grows from 4 to 16 servers (a poll that crosses every pair of
+// neighborhood and server).
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
 #include <set>
 
 #include "bench/bench_report.h"
@@ -486,6 +492,122 @@ HotShardResult RunHotShardCluster(bool board, bool skewed,
   return result;
 }
 
+// --- E2d: streaming background — what a cluster costs while nothing opens.
+//
+// Clusters of 1..16 servers, one neighborhood each, with 8 sessions per
+// server held open (null sinks, so no media chunks ride the control count)
+// and no opens during the window. The MDS is the one per-server service
+// every other service polls, so its Sync load is split by sender: the MMS
+// primary's sync round, any neighborhood CMgr, and the trunk replicas. A
+// poll in which every neighborhood asks every server grows the per-MDS rate
+// with the cluster; a per-server one keeps it flat.
+
+struct BackgroundResult {
+  size_t servers = 0;
+  size_t sessions = 0;
+  double ctl_msgs_per_s_per_server = 0;
+  // Sync requests each MDS received per second, by sender.
+  double mds_syncs_per_s_mms = 0;
+  double mds_syncs_per_s_cmgr = 0;
+  double mds_syncs_per_s_trunk = 0;
+  double mds_syncs_per_s() const {
+    return mds_syncs_per_s_mms + mds_syncs_per_s_cmgr + mds_syncs_per_s_trunk;
+  }
+};
+
+BackgroundResult RunStreamingBackground(size_t servers) {
+  constexpr size_t kSessionsPerServer = 8;
+  constexpr Duration kWindow = Duration::Seconds(60);
+  svc::HarnessOptions opts;
+  opts.server_count = servers;
+  opts.neighborhood_count = static_cast<uint8_t>(servers);
+  svc::ClusterHarness harness(opts);
+
+  media::MediaDeployment deploy;
+  deploy.movies = media::SyntheticCatalog(
+      /*count=*/40, servers, /*replicas=*/std::min<size_t>(2, servers));
+  deploy.mds_capacity_bps = 48'000'000;
+  deploy.trunk_capacity_bps = 200'000'000;
+  media::RegisterMediaServices(harness, deploy);
+  harness.Boot();
+  harness.cluster().RunFor(Duration::Seconds(12));
+
+  BackgroundResult result;
+  result.servers = servers;
+  Rng rng(77 + servers);
+  std::vector<Future<media::MmsTicket>> opens;
+  for (size_t i = 0; i < servers * kSessionsPerServer; ++i) {
+    sim::Node& settop = harness.AddSettop(static_cast<uint8_t>(1 + i % servers));
+    sim::Process& p = settop.Spawn("viewer");
+    auto* table = p.Emplace<rpc::BindingTable>(
+        p.runtime(), harness.ClientFor(p).PathResolverFn());
+    std::string title = "movie-" + std::to_string(rng.Below(40));
+    Promise<media::MmsTicket> done;
+    opens.push_back(done.future());
+    table->Bind<media::MmsProxy>(media::kMmsName)
+        .Call<media::MmsTicket>(
+            [title, host = settop.host()](const media::MmsProxy& mms) {
+              return mms.Open(title, host, wire::ObjectRef{});
+            },
+            [done](Result<media::MmsTicket> t) mutable {
+              done.Set(std::move(t));
+            });
+    harness.cluster().RunFor(Duration::Millis(100));
+  }
+  // Past the audits' grace, so every grant is as old as a playing one.
+  harness.cluster().RunFor(Duration::Seconds(20));
+  for (const Future<media::MmsTicket>& open : opens) {
+    result.sessions += open.is_ready() && open.result().ok();
+  }
+
+  enum Sender { kMms, kCmgr, kTrunk };
+  std::map<wire::Endpoint, Sender> senders;
+  for (size_t i = 0; i < servers; ++i) {
+    sim::Node& server = harness.server(i);
+    if (sim::Process* p = server.FindProcessByName("mmsd")) {
+      senders[p->endpoint()] = kMms;
+    }
+    if (sim::Process* p = server.FindProcessByName("trunkd")) {
+      senders[p->endpoint()] = kTrunk;
+    }
+    for (size_t nb = 1; nb <= servers; ++nb) {
+      if (sim::Process* p =
+              server.FindProcessByName("cmgrd-" + std::to_string(nb))) {
+        senders[p->endpoint()] = kCmgr;
+      }
+    }
+  }
+  const uint64_t mds_type = wire::TypeIdFromName(media::kMdsInterface);
+  uint64_t syncs[3] = {0, 0, 0};
+  harness.cluster().network().SetTap(
+      [&](const wire::Endpoint& src, const wire::Endpoint&,
+          const wire::Message& msg) {
+        if (msg.kind != wire::MsgKind::kRequest || msg.type_id != mds_type ||
+            msg.method_id != media::kMdsMethodSync) {
+          return;
+        }
+        auto it = senders.find(src);
+        ITV_CHECK(it != senders.end()) << "MDS Sync from an unknown process";
+        ++syncs[it->second];
+      });
+  uint64_t msgs_before = harness.metrics().Get("net.msg.total");
+  harness.cluster().RunFor(kWindow);
+  harness.cluster().network().SetTap(nullptr);
+
+  const double server_seconds =
+      static_cast<double>(servers) * kWindow.seconds();
+  result.ctl_msgs_per_s_per_server =
+      static_cast<double>(harness.metrics().Get("net.msg.total") -
+                          msgs_before) /
+      server_seconds;
+  result.mds_syncs_per_s_mms = static_cast<double>(syncs[kMms]) / server_seconds;
+  result.mds_syncs_per_s_cmgr =
+      static_cast<double>(syncs[kCmgr]) / server_seconds;
+  result.mds_syncs_per_s_trunk =
+      static_cast<double>(syncs[kTrunk]) / server_seconds;
+  return result;
+}
+
 }  // namespace
 }  // namespace itv
 
@@ -630,6 +752,46 @@ int main() {
       "board=on\nlands every open via sibling retries with 0 failures, every "
       "shard's granted\npeak <= pool, and p50 within 2x of the uniform "
       "control.\n");
+
+  bench::PrintHeader(
+      "E2d: streaming background — MDS Sync load per server while nothing "
+      "opens");
+  std::printf(
+      "one neighborhood per server, 8 sessions per server held open, no "
+      "opens; a 60 s\nwindow. ctl/s/server = every message the cluster "
+      "sends per second, per server;\nsyncs/s = Sync requests each MDS "
+      "receives per second, by sender.\n\n");
+  bench::PrintRow({"servers", "sessions", "ctl/s/server", "mms_syncs/s",
+                   "cmgr_syncs/s", "trunk_syncs/s", "syncs/s"});
+  std::map<size_t, BackgroundResult> background;
+  for (size_t servers : {1, 2, 4, 8, 16}) {
+    BackgroundResult r = RunStreamingBackground(servers);
+    bench::PrintRow({bench::FmtInt(r.servers), bench::FmtInt(r.sessions),
+                     bench::Fmt("%.2f", r.ctl_msgs_per_s_per_server),
+                     bench::Fmt("%.3f", r.mds_syncs_per_s_mms),
+                     bench::Fmt("%.3f", r.mds_syncs_per_s_cmgr),
+                     bench::Fmt("%.3f", r.mds_syncs_per_s_trunk),
+                     bench::Fmt("%.3f", r.mds_syncs_per_s())});
+    std::string prefix = "e2d_servers_" + std::to_string(servers) + "_";
+    report.SetInt(prefix + "sessions", r.sessions);
+    report.Set(prefix + "ctl_msgs_per_s_per_server",
+               r.ctl_msgs_per_s_per_server);
+    report.Set(prefix + "mds_syncs_per_s_mms", r.mds_syncs_per_s_mms);
+    report.Set(prefix + "mds_syncs_per_s_cmgr", r.mds_syncs_per_s_cmgr);
+    report.Set(prefix + "mds_syncs_per_s_trunk", r.mds_syncs_per_s_trunk);
+    background[servers] = r;
+  }
+  // Per-server polling keeps each MDS's Sync load flat as servers are added;
+  // an all-pairs poll (every neighborhood asking every MDS) grows it.
+  ITV_CHECK(background[16].mds_syncs_per_s() <=
+            1.1 * background[4].mds_syncs_per_s())
+      << "MDS Sync load grows with the cluster: "
+      << background[16].mds_syncs_per_s() << "/s per MDS at 16 servers vs "
+      << background[4].mds_syncs_per_s() << "/s at 4";
+  std::printf(
+      "\nexpect: syncs/s flat from 4 to 16 servers (within 1.1x): the MMS "
+      "round is one Sync\nper MDS per 5 s and each trunk audits only its "
+      "own server's MDS; no CMgr asks any\nMDS.\n");
 
   report.WriteMerged();
   std::printf(

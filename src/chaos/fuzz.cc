@@ -174,7 +174,7 @@ FuzzResult Run(uint64_t seed, const sim::ChaosPlan* replay,
   // Viewers Play within one RPC round trip of the ticket, so any stream
   // still unplayed after 20s is an orphan of a fault-window open (lost
   // ticket reply / lost compensating close). Reclaiming it server-side lets
-  // the cmgr grant audit free the settop's downstream budget, which would
+  // the trunk's grant audit free the settop's downstream budget, which would
   // otherwise stay exhausted past the convergence horizon.
   deploy.mds_unplayed_grace = Duration::Seconds(20);
   deploy.mms_shards = options.mms_shards;

@@ -1,8 +1,8 @@
 #include "src/media/cmgr.h"
 
-#include <memory>
 #include <utility>
 
+#include "src/common/address.h"
 #include "src/common/logging.h"
 #include "src/media/mds.h"
 
@@ -14,7 +14,7 @@ namespace {
 // open a certain number of network connections".
 constexpr uint32_t kMaxConnectionsPerSettop = 4;
 constexpr Duration kRpcTimeout = Duration::Seconds(2);
-// Grant reclamation cadence (see AuditGrants).
+// Grant reclamation cadence (see TrunkService::AuditGrants).
 constexpr Duration kGrantAuditInterval = Duration::Seconds(10);
 constexpr int kGrantMissesToReclaim = 2;
 constexpr Duration kGrantGrace = Duration::Seconds(10);
@@ -23,30 +23,154 @@ constexpr Duration kGrantGrace = Duration::Seconds(10);
 
 // --- TrunkService --------------------------------------------------------------
 
+TrunkService::TrunkService(rpc::ObjectRuntime& runtime, Executor& executor,
+                           naming::NameClient name_client, size_t server_index,
+                           uint8_t neighborhoods, int64_t capacity_bps,
+                           Metrics* metrics)
+    : runtime_(runtime),
+      executor_(executor),
+      name_client_(std::move(name_client)),
+      server_index_(server_index),
+      capacity_bps_(capacity_bps),
+      metrics_(metrics),
+      bindings_(runtime, name_client_.PathResolverFn()) {
+  for (uint8_t nb = 1; nb <= neighborhoods; ++nb) {
+    unlisted_.insert(nb);
+  }
+}
+
+wire::ObjectRef TrunkService::Start() {
+  wire::ObjectRef ref = runtime_.Export(this);
+  ListGrants();
+  audit_timer_.Start(executor_, kGrantAuditInterval, [this] {
+    ListGrants();
+    AuditGrants();
+  });
+  return ref;
+}
+
+void TrunkService::ListGrants() {
+  const uint32_t host = runtime_.local_endpoint().host;
+  for (uint8_t nb : std::vector<uint8_t>(unlisted_.begin(), unlisted_.end())) {
+    bindings_.Bind<CmgrProxy>(CmgrName(nb))
+        .Call<std::vector<ConnectionGrant>>(
+            [](const CmgrProxy& cmgr) { return cmgr.ListConnections(); },
+            [this, nb, host](Result<std::vector<ConnectionGrant>> grants) {
+              if (!grants.ok() || unlisted_.erase(nb) == 0) {
+                return;
+              }
+              for (const ConnectionGrant& grant : *grants) {
+                if (grant.server_host == host &&
+                    reservations_.count(grant.connection_id) == 0) {
+                  reservations_[grant.connection_id] = {grant, executor_.Now()};
+                  reserved_bps_ += grant.downstream_bps;
+                }
+              }
+            });
+  }
+}
+
+void TrunkService::AuditGrants() {
+  if (reservations_.empty()) {
+    return;
+  }
+  bindings_.Bind<MdsProxy>(MdsName(server_index_))
+      .Call<MdsSync>(
+          [](const MdsProxy& mds) {
+            rpc::CallOptions opts;
+            opts.timeout = kRpcTimeout;
+            return mds.Sync(opts);
+          },
+          [this](Result<MdsSync> sync) {
+            if (!sync.ok()) {
+              // No evidence either way, and the misses restart: a server
+              // coming back must testify twice afresh before a reclaim.
+              for (auto& [id, reservation] : reservations_) {
+                reservation.misses = 0;
+              }
+              return;
+            }
+            std::set<uint64_t> claimed;
+            for (const SessionInfo& info : sync->sessions) {
+              claimed.insert(info.connection.connection_id);
+            }
+            Time now = executor_.Now();
+            std::vector<ConnectionGrant> doomed;
+            for (auto& [id, reservation] : reservations_) {
+              if (claimed.count(id) > 0) {
+                reservation.misses = 0;
+              } else if (now - reservation.reserved_at >= kGrantGrace &&
+                         ++reservation.misses >= kGrantMissesToReclaim) {
+                doomed.push_back(reservation.grant);
+              }
+            }
+            for (const ConnectionGrant& grant : doomed) {
+              Reclaim(grant);
+            }
+          });
+}
+
+void TrunkService::Reclaim(const ConnectionGrant& grant) {
+  ITV_LOG(Info) << "trunk " << runtime_.local_endpoint().host
+                << ": reclaiming orphaned connection " << grant.connection_id
+                << " (settop " << grant.settop_host << ")";
+  // The CMgr drops the grant, pushes the drop to its standbys and releases
+  // it here. Its NOT_FOUND means it never committed the grant (it died
+  // between Reserve and its commit), so only this trunk held it. Any other
+  // error, including a lookup of the CMgr's name that finds no primary
+  // mid-fail-over: try again on the next audit.
+  uint64_t connection_id = grant.connection_id;
+  bindings_.Bind<CmgrProxy>(CmgrName(NeighborhoodOfHost(grant.settop_host)))
+      .Call<void>(
+          [connection_id](const CmgrProxy& cmgr) {
+            Promise<void> gone;
+            cmgr.Release(connection_id)
+                .OnReady([gone](const Result<void>& r) mutable {
+                  gone.Set(IsNotFound(r.status()) ? OkStatus() : r);
+                });
+            return gone.future();
+          },
+          [this, connection_id](Result<void> r) {
+            if (r.ok()) {
+              if (metrics_ != nullptr) {
+                metrics_->Add("cmgr.grant_reclaimed");
+              }
+              Drop(connection_id);
+            }
+          });
+}
+
+void TrunkService::Drop(uint64_t connection_id) {
+  auto it = reservations_.find(connection_id);
+  if (it != reservations_.end()) {
+    reserved_bps_ -= it->second.grant.downstream_bps;
+    reservations_.erase(it);
+  }
+}
+
 void TrunkService::Dispatch(uint32_t method_id, const wire::Bytes& args,
                             const rpc::CallContext& ctx, rpc::ReplyFn reply) {
   switch (method_id) {
     case kTrunkMethodReserve: {
-      uint64_t connection_id = 0;
-      int64_t bps = 0;
-      if (!rpc::DecodeArgs(args, &connection_id, &bps)) {
+      ConnectionGrant grant;
+      if (!rpc::DecodeArgs(args, &grant)) {
         return rpc::ReplyBadArgs(reply);
       }
-      if (bps <= 0) {
+      if (grant.downstream_bps <= 0) {
         return rpc::ReplyError(reply, InvalidArgumentError("bps must be > 0"));
       }
-      if (reservations_.count(connection_id) > 0) {
+      if (reservations_.count(grant.connection_id) > 0) {
         return rpc::ReplyOk(reply);  // Idempotent (retried reservation).
       }
-      if (reserved_bps_ + bps > capacity_bps_) {
+      if (reserved_bps_ + grant.downstream_bps > capacity_bps_) {
         if (metrics_ != nullptr) {
           metrics_->Add("cmgr.trunk_exhausted");
         }
         return rpc::ReplyError(
             reply, ResourceExhaustedError("server trunk bandwidth exhausted"));
       }
-      reservations_[connection_id] = bps;
-      reserved_bps_ += bps;
+      reservations_[grant.connection_id] = {grant, executor_.Now()};
+      reserved_bps_ += grant.downstream_bps;
       return rpc::ReplyOk(reply);
     }
     case kTrunkMethodRelease: {
@@ -54,11 +178,7 @@ void TrunkService::Dispatch(uint32_t method_id, const wire::Bytes& args,
       if (!rpc::DecodeArgs(args, &connection_id)) {
         return rpc::ReplyBadArgs(reply);
       }
-      auto it = reservations_.find(connection_id);
-      if (it != reservations_.end()) {
-        reserved_bps_ -= it->second;
-        reservations_.erase(it);
-      }
+      Drop(connection_id);
       return rpc::ReplyOk(reply);
     }
     case kTrunkMethodUsage:
@@ -88,101 +208,12 @@ void CmgrService::Start() {
   RefreshStandbys();
   standby_refresh_timer_.Start(executor_, Duration::Seconds(10),
                                [this] { RefreshStandbys(); });
-  grant_audit_timer_.Start(executor_, kGrantAuditInterval,
-                           [this] { AuditGrants(); });
 }
 
 void CmgrService::OnPromoted() {
   ITV_LOG(Info) << "cmgr nb " << int{neighborhood_} << ": primary with "
                 << connections_.size() << " replicated connections";
   Count("cmgr.became_primary");
-}
-
-void CmgrService::AuditGrants() {
-  if (!is_primary() || connections_.empty()) {
-    return;
-  }
-  name_client_.ListRepl("svc/mds").OnReady([this](
-                                               const Result<naming::BindingList>&
-                                                   r) {
-    if (!r.ok()) {
-      return;  // Name service unreachable: no evidence, try next sweep.
-    }
-    // Presence of a host key means that host's MDS answered; only answering
-    // hosts can testify that a grant is unclaimed.
-    auto claimed = std::make_shared<std::map<uint32_t, std::set<uint64_t>>>();
-    auto pending = std::make_shared<size_t>(0);
-    for (const naming::Binding& binding : *r) {
-      if (!IsMdsReplica(binding)) {
-        continue;
-      }
-      ++*pending;
-      MdsProxy mds(runtime_, binding.ref);
-      rpc::CallOptions opts;
-      opts.timeout = kRpcTimeout;
-      uint32_t host = binding.ref.endpoint.host;
-      mds.Sync(opts).OnReady(
-          [this, claimed, pending, host](const Result<MdsSync>& sync) {
-            if (sync.ok()) {
-              auto& ids = (*claimed)[host];
-              for (const SessionInfo& info : sync->sessions) {
-                ids.insert(info.connection.connection_id);
-              }
-            }
-            if (--*pending == 0) {
-              ReclaimUnclaimed(*claimed);
-            }
-          });
-    }
-  });
-}
-
-void CmgrService::ReclaimUnclaimed(
-    const std::map<uint32_t, std::set<uint64_t>>& claimed) {
-  if (!is_primary()) {
-    return;
-  }
-  Time now = executor_.Now();
-  std::vector<ConnectionGrant> doomed;
-  for (const auto& [id, grant] : connections_) {
-    auto host = claimed.find(grant.server_host);
-    if (host == claimed.end()) {
-      // Serving MDS did not answer (or has no binding right now): no
-      // evidence either way, and restart both counters — a server coming
-      // back must testify twice afresh before we release anything.
-      grant_misses_.erase(id);
-      continue;
-    }
-    auto granted = granted_at_.find(id);
-    if (granted != granted_at_.end() &&
-        now - granted->second < kGrantGrace) {
-      continue;  // Open may still be in flight.
-    }
-    if (host->second.count(id) > 0) {
-      grant_misses_.erase(id);
-      continue;
-    }
-    if (++grant_misses_[id] >= kGrantMissesToReclaim) {
-      doomed.push_back(grant);
-    }
-  }
-  for (const ConnectionGrant& grant : doomed) {
-    ITV_LOG(Info) << "cmgr nb " << int{neighborhood_}
-                  << ": reclaiming orphaned connection " << grant.connection_id
-                  << " (settop " << grant.settop_host << ", server "
-                  << grant.server_host << ")";
-    Count("cmgr.grant_reclaimed");
-    grant_misses_.erase(grant.connection_id);
-    ApplyLocal(2, grant);
-    PushToStandbys(2, grant);
-    uint64_t connection_id = grant.connection_id;
-    bindings_.Bind<TrunkProxy>(TrunkName(grant.server_host))
-        .Call<void>(
-            [connection_id](const TrunkProxy& trunk) {
-              return trunk.Release(connection_id);
-            },
-            [](Result<void>) {});
-  }
 }
 
 int64_t CmgrService::SettopReservedBps(uint32_t settop_host) const {
@@ -261,7 +292,7 @@ void CmgrService::HandleAllocate(uint32_t settop_host, uint32_t server_host,
   bindings_.Bind<TrunkProxy>(TrunkName(server_host))
       .Call<void>(
           [grant](const TrunkProxy& trunk) {
-            return trunk.Reserve(grant.connection_id, grant.downstream_bps);
+            return trunk.Reserve(grant);
           },
           [this, grant, reply](Result<void> r) {
             if (!r.ok()) {
@@ -310,7 +341,6 @@ void CmgrService::ApplyLocal(uint8_t op, const ConnectionGrant& grant) {
       granted_at_.erase(granted);
     }
     connections_.erase(grant.connection_id);
-    grant_misses_.erase(grant.connection_id);
   }
 }
 

@@ -11,7 +11,10 @@
 // The connection manager is one of the two services in the system that keep
 // replicated state (Section 10.1.1): the neighborhood primary pushes every
 // allocate/release to its standby replicas, so a promoted backup carries the
-// allocation table forward.
+// allocation table forward. The per-server trunk replica audits the grants
+// reserved on its server against that server's MDS and reclaims the ones no
+// session claims, so the audit costs one host-local call per server however
+// many neighborhoods there are.
 
 #ifndef SRC_MEDIA_CMGR_H_
 #define SRC_MEDIA_CMGR_H_
@@ -144,9 +147,11 @@ class CmgrProxy : public rpc::Proxy {
 class TrunkProxy : public rpc::Proxy {
  public:
   using Proxy::Proxy;
-  Future<void> Reserve(uint64_t connection_id, int64_t bps) const {
+  // Reserves the grant's downstream rate on this server's trunk. The trunk
+  // keeps the whole grant: its audit routes a reclaim by the settop host.
+  Future<void> Reserve(const ConnectionGrant& grant) const {
     return rpc::DecodeEmptyReply(
-        Call(kTrunkMethodReserve, rpc::EncodeArgs(connection_id, bps)));
+        Call(kTrunkMethodReserve, rpc::EncodeArgs(grant)));
   }
   Future<void> Release(uint64_t connection_id) const {
     return rpc::DecodeEmptyReply(
@@ -161,8 +166,16 @@ class TrunkProxy : public rpc::Proxy {
 
 class TrunkService : public rpc::Skeleton {
  public:
-  TrunkService(int64_t capacity_bps, Metrics* metrics = nullptr)
-      : capacity_bps_(capacity_bps), metrics_(metrics) {}
+  // `server_index` names the MDS on this server (svc/mds/<index + 1>);
+  // `neighborhoods` is how many CMgrs may hold grants on it.
+  TrunkService(rpc::ObjectRuntime& runtime, Executor& executor,
+               naming::NameClient name_client, size_t server_index,
+               uint8_t neighborhoods, int64_t capacity_bps,
+               Metrics* metrics = nullptr);
+
+  // Exports the object, asks every neighborhood for the grants it holds on
+  // this server, and starts the audit loop.
+  wire::ObjectRef Start();
 
   std::string_view interface_name() const override { return kTrunkInterface; }
   void Dispatch(uint32_t method_id, const wire::Bytes& args,
@@ -172,10 +185,41 @@ class TrunkService : public rpc::Skeleton {
   int64_t capacity_bps() const { return capacity_bps_; }
 
  private:
+  struct Reservation {
+    ConnectionGrant grant;
+    Time reserved_at;
+    int misses = 0;  // Consecutive audits no MDS session claimed it.
+  };
+
+  // Rebuilds the reservations of a restarted replica (paper Section 10.1:
+  // volatile state is rebuilt by querying): each neighborhood's CMgr lists
+  // its grants, and those on this server are reserved again. A neighborhood
+  // that does not answer is asked again on the next tick.
+  void ListGrants();
+  // Grant reclamation (paper Section 7.2): a grant whose MDS session died
+  // without a release (server crash mid-stream, lost close, a CMgr that died
+  // between Reserve and its commit) would pin settop and trunk bandwidth
+  // forever. Every tick this server's MDS lists the connection ids its
+  // sessions hold; a reservation unclaimed on kGrantMissesToReclaim audits
+  // in a row, after a grace for an open still in flight, is released
+  // through its neighborhood's CMgr.
+  void AuditGrants();
+  void Reclaim(const ConnectionGrant& grant);
+  void Drop(uint64_t connection_id);
+
+  rpc::ObjectRuntime& runtime_;
+  Executor& executor_;
+  naming::NameClient name_client_;
+  size_t server_index_;
   int64_t capacity_bps_;
-  int64_t reserved_bps_ = 0;
-  std::map<uint64_t, int64_t> reservations_;
   Metrics* metrics_;
+
+  int64_t reserved_bps_ = 0;
+  std::map<uint64_t, Reservation> reservations_;
+  // Neighborhoods whose grant list has not been read since start.
+  std::set<uint8_t> unlisted_;
+  rpc::BindingTable bindings_;
+  PeriodicTimer audit_timer_;
 };
 
 // --- Neighborhood replica (primary/backup with state push) -------------------------
@@ -186,7 +230,7 @@ class CmgrService : public rpc::Skeleton {
               naming::NameClient name_client, uint8_t neighborhood,
               Metrics* metrics = nullptr);
 
-  // Exports the object and starts the standby-refresh and grant-audit loops.
+  // Exports the object and starts the standby-refresh loop.
   // Election (both the always-won standby registration and the contested
   // neighborhood primary binding) is owned by the launcher's
   // ServiceLifecycles, which drive the hooks below.
@@ -220,15 +264,6 @@ class CmgrService : public rpc::Skeleton {
   // Re-discovers standby replicas; newly seen standbys receive a full copy
   // of the allocation table so late joiners converge.
   void RefreshStandbys();
-  // Grant reclamation sweep (paper Section 7.2): connection grants whose
-  // server-side session died without a release (server crash mid-stream,
-  // lost close) would pin the settop's downstream budget forever. The sweep
-  // asks every live MDS replica which connection ids its sessions hold and
-  // releases grants unclaimed for kGrantMissesToReclaim consecutive sweeps.
-  // Fresh grants get a grace period: a grant is legitimately unclaimed while
-  // its open is in flight.
-  void AuditGrants();
-  void ReclaimUnclaimed(const std::map<uint32_t, std::set<uint64_t>>& claimed);
   void Count(std::string_view name);
 
   rpc::ObjectRuntime& runtime_;
@@ -252,9 +287,6 @@ class CmgrService : public rpc::Skeleton {
   // Standby replica refs (refreshed periodically).
   std::vector<wire::ObjectRef> standbys_;
   PeriodicTimer standby_refresh_timer_;
-  // Consecutive audits each grant went unclaimed by its serving MDS.
-  std::map<uint64_t, int> grant_misses_;
-  PeriodicTimer grant_audit_timer_;
 };
 
 }  // namespace itv::media

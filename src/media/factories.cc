@@ -79,7 +79,7 @@ void RegisterMediaServices(svc::ClusterHarness& harness,
         ctx.process.runtime(), ctx.process.executor(), std::move(library), opts,
         ctx.metrics);
     wire::ObjectRef ref = mds->Export();
-    PublishService(ctx, "svc/mds/" + std::to_string(index + 1), ref);
+    PublishService(ctx, MdsName(index), ref);
   });
 
   // --- Cluster load board ---------------------------------------------------------
@@ -95,12 +95,13 @@ void RegisterMediaServices(svc::ClusterHarness& harness,
   }
 
   // --- Trunk replicas -----------------------------------------------------------
-  harness.RegisterServiceType("trunkd", [deployment](
+  harness.RegisterServiceType("trunkd", [deployment, neighborhoods](
                                             const svc::ServiceContext& ctx) {
     auto* trunk = ctx.process.Emplace<TrunkService>(
+        ctx.process.runtime(), ctx.process.executor(), ctx.MakeNameClient(),
+        ServerIndexOf(ctx.harness, ctx.process.host()), neighborhoods,
         deployment.trunk_capacity_bps, ctx.metrics);
-    wire::ObjectRef ref = ctx.process.runtime().Export(trunk);
-    PublishService(ctx, TrunkName(ctx.process.host()), ref);
+    PublishService(ctx, TrunkName(ctx.process.host()), trunk->Start());
   });
 
   // --- Connection managers per neighborhood --------------------------------------

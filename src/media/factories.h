@@ -9,7 +9,8 @@
 //   cmgrd-<nb>    per-neighborhood Connection Manager: one primary + one
 //                 hot standby on the next server, bound at svc/cmgr/<nb>
 //                 (never sharded: the neighborhood is its partition)
-//   trunkd        per-server trunk capacity replica
+//   trunkd        per-server trunk capacity replica; audits the grants
+//                 reserved on its server against that server's MDS
 //   mmsd          primary/backup on the first mms_replicas servers, one
 //                 lifecycle per MMS shard
 //   bootd         boot/kernel broadcast per server

@@ -28,6 +28,12 @@ namespace itv::media {
 inline constexpr std::string_view kMdsInterface = "itv.MediaDelivery";
 inline constexpr std::string_view kMovieInterface = "itv.Movie";
 
+// The replica on the server at 0-based `server_index`, bound in the
+// replicated context svc/mds.
+inline std::string MdsName(size_t server_index) {
+  return "svc/mds/" + std::to_string(server_index + 1);
+}
+
 // Ids 3 and 4 (the retired standalone load and session reads) stay
 // unassigned: tools label per-method traffic by id.
 enum MdsMethod : uint32_t {
@@ -113,7 +119,7 @@ inline void WireRead(wire::Reader& r, SessionInfo* s) {
 // One replica's state as the MMS needs it (paper Figure 4 step 4 and
 // Section 10.1.1): what it can serve, how loaded it is, and which sessions it
 // holds, read in one reply so all three describe the same instant, the one
-// at `load.seq`. The connection manager's grant audit reads the sessions.
+// at `load.seq`. The trunk replica's grant audit reads the sessions.
 struct MdsSync {
   std::vector<MovieInfo> titles;
   MdsLoad load;
@@ -183,7 +189,7 @@ class MdsService : public rpc::Skeleton {
     // Ghost reclamation: a stream that was opened but never Played within
     // this grace is presumed orphaned (its MovieTicket — or the MMS's
     // compensating Close — was lost in flight) and is closed server-side,
-    // which lets the connection manager's grant audit free the settop's
+    // which lets the trunk replica's grant audit free the settop's
     // bandwidth. The legitimate flow plays within one RPC round trip of the
     // ticket, so the grace only needs to clear transient open latency.
     // Zero (the default) disables the sweep: synthetic harnesses open

@@ -142,6 +142,57 @@ class MediaTest : public ::testing::Test {
     return sync.result()->load;
   }
 
+  // The endpoints of every server process named `name`.
+  std::vector<wire::Endpoint> EndpointsOf(const std::string& name) {
+    std::vector<wire::Endpoint> out;
+    for (size_t i = 0; i < harness_.server_count(); ++i) {
+      if (sim::Process* p = harness_.server(i).FindProcessByName(name)) {
+        out.push_back(p->endpoint());
+      }
+    }
+    return out;
+  }
+  static bool IsOneOf(const std::vector<wire::Endpoint>& set,
+                      const wire::Endpoint& e) {
+    return std::find(set.begin(), set.end(), e) != set.end();
+  }
+
+  // The bandwidth the trunk replica on the server at `server_index` holds.
+  Result<int64_t> TrunkReservedBps(size_t server_index) {
+    sim::Process& client = harness_.SpawnProcessOn(0, "trunkprobe");
+    auto ref = harness_.ClientFor(client).Resolve(
+        TrunkName(harness_.HostOf(server_index)));
+    cluster().RunFor(Duration::Seconds(2));
+    if (!ref.is_ready() || !ref.result().ok()) {
+      return NotFoundError("trunk not resolvable");
+    }
+    auto usage = TrunkProxy(client.runtime(), ref.result().value()).Usage();
+    cluster().RunFor(Duration::Seconds(1));
+    if (!usage.is_ready()) {
+      return DeadlineExceededError("no usage reply");
+    }
+    if (!usage.result().ok()) {
+      return usage.result().status();
+    }
+    return usage.result()->reserved_bps;
+  }
+
+  Result<std::vector<ConnectionGrant>> GrantsOf(uint8_t neighborhood) {
+    sim::Process& client = harness_.SpawnProcessOn(0, "cmgrprobe");
+    auto ref = harness_.ClientFor(client).Resolve(CmgrName(neighborhood));
+    cluster().RunFor(Duration::Seconds(2));
+    if (!ref.is_ready() || !ref.result().ok()) {
+      return NotFoundError("cmgr not resolvable");
+    }
+    auto grants =
+        CmgrProxy(client.runtime(), ref.result().value()).ListConnections();
+    cluster().RunFor(Duration::Seconds(1));
+    if (!grants.is_ready()) {
+      return DeadlineExceededError("no list reply");
+    }
+    return grants.result();
+  }
+
   svc::ClusterHarness harness_;
 };
 
@@ -160,8 +211,9 @@ TEST_F(MediaTest, MediaStackComesUp) {
 TEST_F(MediaTest, NoServiceProbesTheMdsSelector) {
   // svc/mds is a replicated context whose builtin selector binding is a
   // null-endpoint pseudo-ref, not a replica: the MMS's directory refresh and
-  // session rebuild and the CMgr's grant audit must not send it requests
-  // (each would time out and report a stale target).
+  // session rebuild must not send it requests (each would time out and
+  // report a stale target). The trunk's grant audit names its own server's
+  // replica and never lists the context.
   size_t null_requests = 0;
   cluster().network().SetTap(
       [&null_requests](const wire::Endpoint&, const wire::Endpoint& dst,
@@ -218,25 +270,12 @@ TEST_F(MediaTest, MmsSyncsEachReplicaOncePerRound) {
   // round every refresh tick (5 s); the backup runs none, since promotion's
   // RecoverState round rebuilds everything. The load board hears from the
   // MMS primary alone: no MDS or CMgr reports.
-  auto endpoints_of = [this](const std::string& name) {
-    std::vector<wire::Endpoint> out;
-    for (size_t i = 0; i < harness_.server_count(); ++i) {
-      if (sim::Process* p = harness_.server(i).FindProcessByName(name)) {
-        out.push_back(p->endpoint());
-      }
-    }
-    return out;
-  };
-  auto is_one_of = [](const std::vector<wire::Endpoint>& set,
-                      const wire::Endpoint& e) {
-    return std::find(set.begin(), set.end(), e) != set.end();
-  };
-  const std::vector<wire::Endpoint> mms = endpoints_of("mmsd");
-  const std::vector<wire::Endpoint> mds = endpoints_of("mdsd");
-  const std::vector<wire::Endpoint> board = endpoints_of("loadboardd");
+  const std::vector<wire::Endpoint> mms = EndpointsOf("mmsd");
+  const std::vector<wire::Endpoint> mds = EndpointsOf("mdsd");
+  const std::vector<wire::Endpoint> board = EndpointsOf("loadboardd");
   std::vector<wire::Endpoint> board_silent = mds;
   for (const char* name : {"cmgrd-1", "cmgrd-2"}) {
-    for (const wire::Endpoint& e : endpoints_of(name)) {
+    for (const wire::Endpoint& e : EndpointsOf(name)) {
       board_silent.push_back(e);
     }
   }
@@ -259,9 +298,9 @@ TEST_F(MediaTest, MmsSyncsEachReplicaOncePerRound) {
     for (size_t i = 0; i < mms.size(); ++i) {
       rounds[i] += src == mms[i] && msg.type_id == naming_type &&
                    msg.method_id == naming::kNcMethodListRepl;
-      mds_requests[i] += src == mms[i] && is_one_of(mds, dst);
+      mds_requests[i] += src == mms[i] && IsOneOf(mds, dst);
     }
-    silent_reports += is_one_of(board_silent, src) && is_one_of(board, dst);
+    silent_reports += IsOneOf(board_silent, src) && IsOneOf(board, dst);
   });
   cluster().RunFor(Duration::Seconds(30));
   cluster().network().SetTap(nullptr);
@@ -900,6 +939,172 @@ TEST_F(MediaTest, CmgrFailoverKeepsAllocationTable) {
   cluster().RunFor(Duration::Seconds(2));
   ASSERT_TRUE(usage.is_ready() && usage.result().ok());
   EXPECT_EQ(usage.result()->reserved_bps, 0);
+}
+
+// --- Grant reclamation at the trunk replica ------------------------------------
+
+TEST_F(MediaTest, OrphanedGrantIsReclaimedThroughItsCmgr) {
+  // A grant whose open never reached an MDS: no session claims it, so the
+  // serving server's trunk releases it through the neighborhood's CMgr
+  // within two audits past the grace.
+  uint32_t settop_host = harness_.AddSettop(1).host();
+  sim::Process& probe = harness_.SpawnProcessOn(0, "probe");
+  auto cmgr_ref = harness_.ClientFor(probe).Resolve(CmgrName(1));
+  cluster().RunFor(Duration::Seconds(2));
+  ASSERT_TRUE(cmgr_ref.is_ready() && cmgr_ref.result().ok());
+  auto grant = CmgrProxy(probe.runtime(), cmgr_ref.result().value())
+                   .Allocate(settop_host, harness_.HostOf(0), 3'000'000,
+                             /*allow_partial=*/false);
+  cluster().RunFor(Duration::Seconds(1));
+  ASSERT_TRUE(grant.is_ready() && grant.result().ok());
+  ASSERT_EQ(TrunkReservedBps(0).value(), 3'000'000);
+
+  cluster().RunFor(Duration::Seconds(37));  // 40 s after the grant.
+  auto grants = GrantsOf(1);
+  ASSERT_TRUE(grants.ok()) << grants.status();
+  EXPECT_TRUE(grants->empty());
+  EXPECT_EQ(TrunkReservedBps(0).value(), 0);
+  EXPECT_EQ(metrics().Get("cmgr.grant_reclaimed"), 1u);
+}
+
+TEST_F(MediaTest, TrunkOnlyReservationIsDropped) {
+  // A reservation no CMgr committed (the CMgr died between Reserve and its
+  // commit): the CMgr answers the trunk's release with NOT_FOUND and the
+  // trunk drops the reservation itself.
+  ConnectionGrant grant;
+  grant.connection_id = 77;
+  grant.settop_host = harness_.AddSettop(2).host();
+  grant.server_host = harness_.HostOf(1);
+  grant.downstream_bps = 3'000'000;
+  sim::Process& probe = harness_.SpawnProcessOn(0, "probe");
+  auto trunk_ref = harness_.ClientFor(probe).Resolve(TrunkName(grant.server_host));
+  cluster().RunFor(Duration::Seconds(2));
+  ASSERT_TRUE(trunk_ref.is_ready() && trunk_ref.result().ok());
+  auto reserved =
+      TrunkProxy(probe.runtime(), trunk_ref.result().value()).Reserve(grant);
+  cluster().RunFor(Duration::Seconds(1));
+  ASSERT_TRUE(reserved.is_ready() && reserved.result().ok());
+  ASSERT_EQ(TrunkReservedBps(1).value(), 3'000'000);
+
+  cluster().RunFor(Duration::Seconds(37));
+  EXPECT_EQ(TrunkReservedBps(1).value(), 0);
+  EXPECT_EQ(metrics().Get("cmgr.grant_reclaimed"), 1u);
+}
+
+TEST_F(MediaTest, TrunkKeepsAReservationWhoseCmgrIsNotBound) {
+  // A lookup of svc/cmgr/<nb> that finds no primary (as mid-fail-over) also
+  // reads NOT_FOUND, but it is not the CMgr saying it holds no such grant:
+  // the trunk keeps the reservation. This cluster has no neighborhood 3.
+  ConnectionGrant grant;
+  grant.connection_id = 78;
+  grant.settop_host = MakeSettopHost(3, 1);
+  grant.server_host = harness_.HostOf(1);
+  grant.downstream_bps = 3'000'000;
+  sim::Process& probe = harness_.SpawnProcessOn(0, "probe");
+  auto trunk_ref = harness_.ClientFor(probe).Resolve(TrunkName(grant.server_host));
+  cluster().RunFor(Duration::Seconds(2));
+  ASSERT_TRUE(trunk_ref.is_ready() && trunk_ref.result().ok());
+  auto reserved =
+      TrunkProxy(probe.runtime(), trunk_ref.result().value()).Reserve(grant);
+  cluster().RunFor(Duration::Seconds(60));
+  ASSERT_TRUE(reserved.is_ready() && reserved.result().ok());
+  EXPECT_EQ(TrunkReservedBps(1).value(), 3'000'000);
+  EXPECT_EQ(metrics().Get("cmgr.grant_reclaimed"), 0u);
+}
+
+TEST_F(MediaTest, RestartedTrunkRelistsItsReservations) {
+  // A restarted trunk replica asks every neighborhood's CMgr for the grants
+  // on its server, so a playing stream's bandwidth is reserved again, and
+  // the viewer's stop releases it.
+  TestSettop s = MakeSettop(1);
+  s.vod->PlayMovie("T2", [](Status) {});
+  cluster().RunFor(Duration::Seconds(10));
+  ASSERT_TRUE(s.vod->playing());
+  size_t serving_index = s.vod->mds_host() == harness_.HostOf(0) ? 0 : 1;
+  ASSERT_EQ(TrunkReservedBps(serving_index).value(), 3'000'000);
+
+  sim::Process* trunkd =
+      harness_.server(serving_index).FindProcessByName("trunkd");
+  ASSERT_NE(trunkd, nullptr);
+  harness_.server(serving_index).Kill(trunkd->pid());
+  cluster().RunFor(Duration::Seconds(30));  // SSC restart, then the list.
+  EXPECT_TRUE(s.vod->playing());
+  EXPECT_EQ(TrunkReservedBps(serving_index).value(), 3'000'000);
+
+  s.vod->Stop();
+  cluster().RunFor(Duration::Seconds(5));
+  EXPECT_EQ(TrunkReservedBps(serving_index).value(), 0);
+  EXPECT_EQ(metrics().Get("cmgr.grant_reclaimed"), 0u);
+}
+
+TEST_F(MediaTest, PlayingViewerKeepsItsGrant) {
+  TestSettop s = MakeSettop(1);
+  s.vod->PlayMovie("T2", [](Status) {});
+  cluster().RunFor(Duration::Seconds(120));
+  EXPECT_TRUE(s.vod->playing());
+  auto grants = GrantsOf(1);
+  ASSERT_TRUE(grants.ok()) << grants.status();
+  EXPECT_EQ(grants->size(), 1u);
+  EXPECT_EQ(metrics().Get("cmgr.grant_reclaimed"), 0u);
+}
+
+TEST_F(MediaTest, GrantAuditStaysOnTheServer) {
+  // Each trunk audits its grants with one Sync per tick (10 s) to the MDS on
+  // its own server; no CMgr asks any MDS anything or lists svc/mds.
+  std::vector<wire::Endpoint> cmgrs = EndpointsOf("cmgrd-1");
+  for (const wire::Endpoint& e : EndpointsOf("cmgrd-2")) {
+    cmgrs.push_back(e);
+  }
+  const std::vector<wire::Endpoint> trunks = EndpointsOf("trunkd");
+  const std::vector<wire::Endpoint> mds = EndpointsOf("mdsd");
+  ASSERT_EQ(cmgrs.size(), 4u);
+  ASSERT_EQ(trunks.size(), 2u);
+  ASSERT_EQ(mds.size(), 2u);
+
+  TestSettop s = MakeSettop(1);
+  s.vod->PlayMovie("T2", [](Status) {});
+  cluster().RunFor(Duration::Seconds(5));
+  ASSERT_TRUE(s.vod->playing());
+
+  const uint64_t naming_type =
+      wire::TypeIdFromName(naming::kNamingContextInterface);
+  const uint64_t mds_type = wire::TypeIdFromName(kMdsInterface);
+  size_t cmgr_mds_requests = 0, cmgr_mds_lists = 0, remote_syncs = 0;
+  std::vector<size_t> syncs(trunks.size(), 0);
+  cluster().network().SetTap([&](const wire::Endpoint& src,
+                                 const wire::Endpoint& dst,
+                                 const wire::Message& msg) {
+    if (msg.kind != wire::MsgKind::kRequest) {
+      return;
+    }
+    if (IsOneOf(cmgrs, src)) {
+      cmgr_mds_requests += IsOneOf(mds, dst);
+      naming::Name name;
+      cmgr_mds_lists += msg.type_id == naming_type &&
+                        msg.method_id == naming::kNcMethodListRepl &&
+                        rpc::DecodeArgs(msg.payload, &name) &&
+                        name == naming::Name{"svc", "mds"};
+    }
+    for (size_t i = 0; i < trunks.size(); ++i) {
+      if (src == trunks[i] && msg.type_id == mds_type &&
+          msg.method_id == kMdsMethodSync) {
+        ++syncs[i];
+        remote_syncs += dst.host != src.host;
+      }
+    }
+  });
+  cluster().RunFor(Duration::Seconds(30));
+  cluster().network().SetTap(nullptr);
+
+  EXPECT_EQ(cmgr_mds_requests, 0u);
+  EXPECT_EQ(cmgr_mds_lists, 0u);
+  EXPECT_EQ(remote_syncs, 0u);
+  for (size_t i = 0; i < trunks.size(); ++i) {
+    EXPECT_LE(syncs[i], 3u) << "trunk " << i;
+    if (trunks[i].host == s.vod->mds_host()) {
+      EXPECT_GT(syncs[i], 0u) << "the serving trunk audited nothing";
+    }
+  }
 }
 
 // --- Live resharding (ROADMAP "Shard rebalancing") ----------------------------

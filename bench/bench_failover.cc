@@ -312,7 +312,7 @@ ShardKillResult RunShardKill(size_t viewers) {
   auto mms = table->BindSharded<media::MmsProxy>(media::kMmsName, bopts);
 
   // One routing key per shard: the smallest integers that hash there.
-  wire::ShardMap map{kShards, deploy.shard_salt};
+  wire::ShardMap map{kShards, wire::kDefaultShardSalt};
   std::vector<uint64_t> keys(kShards, 0);
   std::vector<bool> have(kShards, false);
   for (uint64_t k = 1; !std::all_of(have.begin(), have.end(),
@@ -507,7 +507,7 @@ ReshardBenchResult RunLiveReshard(size_t settop_count) {
 
   // The operator publishes the successor map (versioned CAS).
   wire::ShardMap successor = wire::NextShardMap(
-      wire::ShardMap{kFromShards, deploy.shard_salt}, kToShards);
+      wire::ShardMap{kFromShards, wire::kDefaultShardSalt}, kToShards);
   sim::Process& ctl = harness.SpawnProcessOn(0, "reshard-ctl");
   Time publish_at = harness.cluster().Now();
   naming::PublishShardMap(ctl.executor(), harness.ClientFor(ctl),

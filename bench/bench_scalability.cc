@@ -310,7 +310,7 @@ ShardRunResult RunShardCluster(uint32_t shards, size_t settop_count) {
   // Per-primary load: ask every shard primary for its session count.
   sim::Process& probe = harness.SpawnProcessOn(0, "probe");
   naming::NameClient nc = harness.ClientFor(probe);
-  wire::ShardMap map{shards, deploy.shard_salt};
+  wire::ShardMap map{shards, wire::kDefaultShardSalt};
   std::set<uint32_t> hosts;
   for (uint32_t s = 0; s < std::max<uint32_t>(shards, 1); ++s) {
     auto ref = bench::WaitOn(
@@ -388,7 +388,7 @@ HotShardResult RunHotShardCluster(bool board, bool skewed,
   result.skewed = skewed;
   result.settops = settop_count;
 
-  wire::ShardMap map{kShards, deploy.shard_salt};
+  wire::ShardMap map{kShards, wire::kDefaultShardSalt};
   Rng rng(4242);  // Same titles with the board on and off.
   struct HotViewer {
     settop::VodApp* vod = nullptr;

@@ -10,7 +10,9 @@
 #include "src/common/trace.h"
 #include "src/load/admission.h"
 #include "src/load/load_board.h"
+#include "src/media/cmgr.h"
 #include "src/media/factories.h"
+#include "src/media/mds.h"
 #include "src/media/mms.h"
 #include "src/naming/name_client.h"
 #include "src/naming/name_server.h"
@@ -84,19 +86,52 @@ bool RefPointsAtLiveProcess(sim::Cluster& cluster, const wire::ObjectRef& ref) {
   return process != nullptr && process->incarnation() == ref.incarnation;
 }
 
+// Settop host of every session each shard primary of `map` holds (one entry
+// per session), by 0-based shard. Probed over RPC like a fresh client, so
+// the checks see what a settop sees.
+using ShardSessionHosts = std::vector<std::vector<uint32_t>>;
+Result<ShardSessionHosts> ProbeSessionHosts(svc::ClusterHarness& harness,
+                                            sim::Cluster& cluster,
+                                            const wire::ShardMap& map) {
+  sim::Process& probe = harness.SpawnProcessOn(0, "session-probe");
+  naming::NameClient names = harness.ClientFor(probe);
+  std::vector<Future<wire::ObjectRef>> refs;
+  for (uint32_t shard = 0; shard < map.shard_count; ++shard) {
+    refs.push_back(names.Resolve(wire::ShardPath(media::kMmsName, shard, map)));
+  }
+  cluster.RunFor(Duration::Seconds(5));
+  std::vector<Future<std::vector<uint32_t>>> lists;
+  for (uint32_t shard = 0; shard < map.shard_count; ++shard) {
+    if (!refs[shard].is_ready() || !refs[shard].result().ok()) {
+      return UnavailableError(
+          StrFormat("shard %u primary unresolvable", shard + 1));
+    }
+    media::MmsProxy mms(probe.runtime(), refs[shard].result().value());
+    lists.push_back(mms.ListSessionHosts());
+  }
+  cluster.RunFor(Duration::Seconds(5));
+  ShardSessionHosts out;
+  for (uint32_t shard = 0; shard < map.shard_count; ++shard) {
+    if (!lists[shard].is_ready() || !lists[shard].result().ok()) {
+      return UnavailableError(
+          StrFormat("shard %u holds no reachable session table", shard + 1));
+    }
+    out.push_back(lists[shard].result().value());
+  }
+  return out;
+}
+
 // Reshard convergence (ROADMAP "Shard rebalancing"): after the storm the
 // successor map must be the published one, every successor shard primary
-// must resolve from scratch, and the shard session tables must respect the
-// successor map's ownership — a shard holding a settop that hashes
-// elsewhere is a session the source never drained (or a double adoption),
-// and a viewer settop held by no shard is a session lost in the cutover.
-// Ownership, not a bare count: a viewer that replayed through a fault
-// window can legitimately leave an extra session on the OWNING shard until
-// reclamation, and that is a workload artifact, not a reshard bug.
-// Probed over RPC like a fresh client so the check sees what a settop sees.
+// must resolve from scratch (`shards` was probed under `want`), and the
+// shard session tables must respect the successor map's ownership — a shard
+// holding a settop that hashes elsewhere is a session the source never
+// drained (or a double adoption), and a viewer settop held by no shard is a
+// session lost in the cutover.
 Status CheckReshardConverged(svc::ClusterHarness& harness,
                              sim::Cluster& cluster, const wire::ShardMap& want,
-                             const std::vector<uint32_t>& viewer_hosts) {
+                             const std::vector<uint32_t>& viewer_hosts,
+                             const Result<ShardSessionHosts>& shards) {
   sim::Process& probe = harness.SpawnProcessOn(0, "reshard-probe");
   auto map_ref = harness.ClientFor(probe).Resolve(
       wire::ShardMapPath(media::kMmsName));
@@ -113,25 +148,12 @@ Status CheckReshardConverged(svc::ClusterHarness& harness,
         "published map is v%u/%u shards, want v%u/%u", got.version,
         got.shard_count, want.version, want.shard_count));
   }
+  if (!shards.ok()) {
+    return UnavailableError(shards.status().message() + " after reshard");
+  }
   std::set<uint32_t> held;  // Settops with at least one session somewhere.
-  for (uint32_t shard = 0; shard < want.shard_count; ++shard) {
-    sim::Process& p = harness.SpawnProcessOn(
-        0, "reshard-probe-" + std::to_string(shard + 1));
-    auto ref = harness.ClientFor(p).Resolve(
-        wire::ShardPath(media::kMmsName, shard, want));
-    cluster.RunFor(Duration::Seconds(5));
-    if (!ref.is_ready() || !ref.result().ok()) {
-      return UnavailableError(StrFormat(
-          "shard %u primary unresolvable after reshard", shard + 1));
-    }
-    auto hosts =
-        media::MmsProxy(p.runtime(), ref.result().value()).ListSessionHosts();
-    cluster.RunFor(Duration::Seconds(5));
-    if (!hosts.is_ready() || !hosts.result().ok()) {
-      return UnavailableError(
-          StrFormat("shard %u holds no reachable session table", shard + 1));
-    }
-    for (uint32_t host : hosts.result().value()) {
+  for (uint32_t shard = 0; shard < shards->size(); ++shard) {
+    for (uint32_t host : (*shards)[shard]) {
       uint32_t owner = wire::ShardOf(host, want);
       if (owner != shard) {
         return InternalError(StrFormat(
@@ -150,6 +172,136 @@ Status CheckReshardConverged(svc::ClusterHarness& harness,
     }
   }
   return OkStatus();
+}
+
+// One stream per viewer: no viewer settop is held by two MMS sessions, on
+// one shard or across shards.
+Status CheckOneSessionPerViewer(const Result<ShardSessionHosts>& shards,
+                                const std::vector<uint32_t>& viewer_hosts) {
+  if (!shards.ok()) {
+    return shards.status();
+  }
+  std::map<uint32_t, size_t> sessions;
+  for (const std::vector<uint32_t>& hosts : *shards) {
+    for (uint32_t host : hosts) {
+      ++sessions[host];
+    }
+  }
+  for (uint32_t host : viewer_hosts) {
+    if (sessions[host] > 1) {
+      return InternalError(StrFormat("viewer settop %u holds %zu MMS sessions",
+                                     host, sessions[host]));
+    }
+  }
+  return OkStatus();
+}
+
+// What the media services hold once every viewer has stopped, read over
+// RPC from every MMS shard primary, MDS replica, neighborhood CMgr and trunk.
+// Each line names one thing still held: an MDS stream by settop, title,
+// played flag, replica and stream id.
+Result<std::vector<std::string>> ProbeMediaLeftovers(
+    svc::ClusterHarness& harness, sim::Cluster& cluster,
+    const wire::ShardMap& mms_map, uint8_t neighborhoods) {
+  Result<ShardSessionHosts> shards =
+      ProbeSessionHosts(harness, cluster, mms_map);
+  if (!shards.ok()) {
+    return shards.status();
+  }
+  sim::Process& probe = harness.SpawnProcessOn(0, "teardown-probe");
+  naming::NameClient names = harness.ClientFor(probe);
+  std::vector<std::string> mds_names;
+  std::vector<Future<wire::ObjectRef>> mds_refs;
+  std::vector<std::string> trunk_names;
+  std::vector<Future<wire::ObjectRef>> trunk_refs;
+  for (size_t i = 0; i < harness.server_count(); ++i) {
+    mds_names.push_back(media::MdsName(i));
+    mds_refs.push_back(names.Resolve(mds_names.back()));
+    trunk_names.push_back(media::TrunkName(harness.HostOf(i)));
+    trunk_refs.push_back(names.Resolve(trunk_names.back()));
+  }
+  std::vector<std::string> cmgr_names;
+  std::vector<Future<wire::ObjectRef>> cmgr_refs;
+  for (uint8_t nb = 1; nb <= neighborhoods; ++nb) {
+    cmgr_names.push_back(media::CmgrName(nb));
+    cmgr_refs.push_back(names.Resolve(cmgr_names.back()));
+  }
+  cluster.RunFor(Duration::Seconds(5));
+  auto resolved = [](const std::vector<std::string>& paths,
+                     const std::vector<Future<wire::ObjectRef>>& refs)
+      -> Result<std::vector<wire::ObjectRef>> {
+    std::vector<wire::ObjectRef> out;
+    for (size_t i = 0; i < refs.size(); ++i) {
+      if (!refs[i].is_ready() || !refs[i].result().ok()) {
+        return UnavailableError(paths[i] + " unresolvable");
+      }
+      out.push_back(refs[i].result().value());
+    }
+    return out;
+  };
+  auto mds = resolved(mds_names, mds_refs);
+  auto trunks = resolved(trunk_names, trunk_refs);
+  auto cmgrs = resolved(cmgr_names, cmgr_refs);
+  for (const Status& s : {mds.status(), trunks.status(), cmgrs.status()}) {
+    if (!s.ok()) {
+      return s;
+    }
+  }
+  std::vector<Future<media::MdsSync>> syncs;
+  for (const wire::ObjectRef& ref : *mds) {
+    syncs.push_back(media::MdsProxy(probe.runtime(), ref).Sync());
+  }
+  std::vector<Future<media::TrunkUsage>> usages;
+  for (const wire::ObjectRef& ref : *trunks) {
+    usages.push_back(media::TrunkProxy(probe.runtime(), ref).Usage());
+  }
+  std::vector<Future<std::vector<media::ConnectionGrant>>> grants;
+  for (const wire::ObjectRef& ref : *cmgrs) {
+    grants.push_back(media::CmgrProxy(probe.runtime(), ref).ListConnections());
+  }
+  cluster.RunFor(Duration::Seconds(5));
+
+  std::vector<std::string> left;
+  for (uint32_t shard = 0; shard < shards->size(); ++shard) {
+    for (uint32_t host : (*shards)[shard]) {
+      left.push_back(StrFormat("MMS shard %u session of settop %u", shard + 1,
+                               host));
+    }
+  }
+  for (size_t i = 0; i < syncs.size(); ++i) {
+    if (!syncs[i].is_ready() || !syncs[i].result().ok()) {
+      return UnavailableError(mds_names[i] + " did not answer Sync");
+    }
+    for (const media::SessionInfo& info : syncs[i].result()->sessions) {
+      left.push_back(StrFormat(
+          "MDS stream of settop %u '%s' %s on %s stream %llu",
+          info.settop_host, info.title.c_str(),
+          info.played ? "played" : "unplayed", mds_names[i].c_str(),
+          static_cast<unsigned long long>(info.stream_id)));
+    }
+  }
+  for (size_t i = 0; i < grants.size(); ++i) {
+    if (!grants[i].is_ready() || !grants[i].result().ok()) {
+      return UnavailableError(cmgr_names[i] + " did not list its connections");
+    }
+    for (const media::ConnectionGrant& grant : grants[i].result().value()) {
+      left.push_back(StrFormat(
+          "%s connection %llu of settop %u", cmgr_names[i].c_str(),
+          static_cast<unsigned long long>(grant.connection_id),
+          grant.settop_host));
+    }
+  }
+  for (size_t i = 0; i < usages.size(); ++i) {
+    if (!usages[i].is_ready() || !usages[i].result().ok()) {
+      return UnavailableError(trunk_names[i] + " did not report its usage");
+    }
+    if (usages[i].result()->reserved_bps != 0) {
+      left.push_back(StrFormat(
+          "%s reserves %lld bps", trunk_names[i].c_str(),
+          static_cast<long long>(usages[i].result()->reserved_bps)));
+    }
+  }
+  return left;
 }
 
 FuzzResult Run(uint64_t seed, const sim::ChaosPlan* replay,
@@ -171,12 +323,10 @@ FuzzResult Run(uint64_t seed, const sim::ChaosPlan* replay,
   deploy.movies = media::SyntheticCatalog(options.movie_count,
                                           options.server_count, /*replicas=*/2);
   deploy.rds_items = {{"vod", 1'000'000}};
-  // Viewers Play within one RPC round trip of the ticket, so any stream
-  // still unplayed after 20s is an orphan of a fault-window open (lost
-  // ticket reply / lost compensating close). Reclaiming it server-side lets
-  // the trunk's grant audit free the settop's downstream budget, which would
-  // otherwise stay exhausted past the convergence horizon.
-  deploy.mds_unplayed_grace = Duration::Seconds(20);
+  // Beyond the shard layout the fuzzer runs the media configuration the
+  // tests and benches run: an orphan of a fault-window open (a lost ticket
+  // reply, a timed-out open sent again) is closed by the MMS's
+  // one-stream-per-sink rule, not by a chaos-only setting.
   deploy.mms_shards = options.mms_shards;
   if (options.mms_shards > 1) {
     deploy.mms_replicas = options.server_count;
@@ -419,10 +569,12 @@ FuzzResult Run(uint64_t seed, const sim::ChaosPlan* replay,
     cluster.RunFor(Duration::Seconds(5));
     probe_ok = ref.is_ready() && ref.result().ok();
   }
+  Result<ShardSessionHosts> shard_hosts =
+      ProbeSessionHosts(harness, cluster, mms_map);
   Status reshard_status = OkStatus();
   if (options.reshard_to > 0) {
-    reshard_status =
-        CheckReshardConverged(harness, cluster, mms_map, settop_hosts);
+    reshard_status = CheckReshardConverged(harness, cluster, mms_map,
+                                           settop_hosts, shard_hosts);
   }
 
   // Admission audit (ROADMAP "Shard-aware admission"): snapshot every MMS
@@ -475,6 +627,9 @@ FuzzResult Run(uint64_t seed, const sim::ChaosPlan* replay,
       return UnavailableError("fresh client cannot resolve svc/mms");
     }
     return OkStatus();
+  });
+  monitor.AddQuiescent("teardown-clean", [&]() -> Status {
+    return CheckOneSessionPerViewer(shard_hosts, settop_hosts);
   });
   if (options.reshard_to > 0) {
     monitor.AddQuiescent("reshard-convergence",
@@ -622,6 +777,10 @@ FuzzResult Run(uint64_t seed, const sim::ChaosPlan* replay,
   size_t pending_before = cluster.scheduler().pending_events();
   cluster.RunFor(Duration::Seconds(15));
   size_t pending_after = cluster.scheduler().pending_events();
+  // Read after the idle window, so the probes' own calls do not count as
+  // queue growth.
+  Result<std::vector<std::string>> leftovers = ProbeMediaLeftovers(
+      harness, cluster, mms_map, options.neighborhood_count);
   // Re-evaluating the convergence checks here would see stopped viewers, so
   // the teardown invariant gets its own monitor.
   sim::InvariantMonitor teardown;
@@ -642,6 +801,21 @@ FuzzResult Run(uint64_t seed, const sim::ChaosPlan* replay,
           cluster.live_process_count(), visited));
     }
     return OkStatus();
+  });
+  teardown.AddQuiescent("teardown-clean", [&]() -> Status {
+    if (!leftovers.ok()) {
+      return leftovers.status();
+    }
+    if (leftovers->empty()) {
+      return OkStatus();
+    }
+    std::string held;
+    for (const std::string& line : *leftovers) {
+      held += (held.empty() ? "" : "; ") + line;
+    }
+    return InternalError(StrFormat(
+        "%zu held %.0fs after every viewer stopped: %s", leftovers->size(),
+        (options.drain + Duration::Seconds(15)).seconds(), held.c_str()));
   });
   teardown.RunQuiescent(cluster.Now());
 

@@ -39,6 +39,13 @@
 //   no-leaks              event-queue size is stable at teardown and process
 //                         accounting is consistent (no leaked timers or
 //                         zombie processes).
+//   teardown-clean        at every quiescent point no viewer settop holds two
+//                         MMS sessions; once the viewers stop and a RAS audit
+//                         cycle plus the trunk's grant audit window (35 s)
+//                         pass, no MMS session, MDS stream, CMgr connection
+//                         or trunk reservation is left. A violation lists
+//                         each thing still held (an MDS stream by settop,
+//                         title, played flag, replica and stream id).
 
 #ifndef SRC_CHAOS_FUZZ_H_
 #define SRC_CHAOS_FUZZ_H_

@@ -1,5 +1,6 @@
 #include "src/media/cmgr.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "src/common/address.h"
@@ -365,12 +366,18 @@ void CmgrService::RefreshStandbys() {
           }
           if (!known) {
             for (const auto& [id, grant] : connections_) {
-              Count("cmgr.state_push");
-              CmgrProxy(runtime_, standby)
-                  .ApplyReplica(1, grant)
-                  .OnReady([](const Result<void>&) {});
+              Push(standby, 1, grant);
             }
           }
+        }
+        // Drops a standby still listed has not acknowledged go again; a
+        // standby no longer listed died, and its restart is full-synced.
+        std::erase_if(unacked_drops_, [&fresh](const auto& entry) {
+          return std::find(fresh.begin(), fresh.end(), entry.first.first) ==
+                 fresh.end();
+        });
+        for (const auto& [key, grant] : unacked_drops_) {
+          Push(key.first, 2, grant);
         }
         standbys_ = std::move(fresh);
       });
@@ -378,10 +385,26 @@ void CmgrService::RefreshStandbys() {
 
 void CmgrService::PushToStandbys(uint8_t op, const ConnectionGrant& grant) {
   for (const wire::ObjectRef& standby : standbys_) {
-    Count("cmgr.state_push");
-    CmgrProxy(runtime_, standby).ApplyReplica(op, grant).OnReady(
-        [](const Result<void>&) {});
+    Push(standby, op, grant);
   }
+}
+
+void CmgrService::Push(const wire::ObjectRef& standby, uint8_t op,
+                       const ConnectionGrant& grant) {
+  Count("cmgr.state_push");
+  CmgrProxy(runtime_, standby)
+      .ApplyReplica(op, grant)
+      .OnReady([this, standby, op, grant](const Result<void>& r) {
+        if (op != 2) {
+          return;
+        }
+        std::pair<wire::ObjectRef, uint64_t> key{standby, grant.connection_id};
+        if (r.ok()) {
+          unacked_drops_.erase(key);
+        } else {
+          unacked_drops_[key] = grant;
+        }
+      });
 }
 
 void CmgrService::Dispatch(uint32_t method_id, const wire::Bytes& args,
@@ -426,6 +449,22 @@ void CmgrService::Dispatch(uint32_t method_id, const wire::Bytes& args,
       ConnectionGrant grant;
       if (!rpc::DecodeArgs(args, &op, &grant)) {
         return rpc::ReplyBadArgs(reply);
+      }
+      if (op == 1 && is_primary() &&
+          connections_.count(grant.connection_id) == 0) {
+        // A standby full-syncs every replica it has not pushed to before,
+        // and a primary restarted with an empty table is one. By now the
+        // grant's trunk may have relisted without it, or dropped it while
+        // this primary did not know it. Reserved again (idempotent), it is
+        // under the trunk's grant audit, which releases it through this
+        // primary unless an MDS session claims it.
+        Count("cmgr.pushed_grant_reserved");
+        bindings_.Bind<TrunkProxy>(TrunkName(grant.server_host))
+            .Call<void>(
+                [grant](const TrunkProxy& trunk) {
+                  return trunk.Reserve(grant);
+                },
+                [](Result<void>) {});
       }
       ApplyLocal(op, grant);
       return rpc::ReplyOk(reply);

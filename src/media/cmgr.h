@@ -22,6 +22,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/executor.h"
@@ -261,6 +262,13 @@ class CmgrService : public rpc::Skeleton {
   void HandleRelease(uint64_t connection_id, rpc::ReplyFn reply);
   void ApplyLocal(uint8_t op, const ConnectionGrant& grant);
   void PushToStandbys(uint8_t op, const ConnectionGrant& grant);
+  // One state push. A drop (op 2) the standby does not acknowledge is kept
+  // in unacked_drops_ and pushed again on each refresh while the standby is
+  // listed: a lost drop would leave the grant in the standby's table, and a
+  // promotion would hand it to a primary whose trunk holds no reservation
+  // for it, where no audit sees it.
+  void Push(const wire::ObjectRef& standby, uint8_t op,
+            const ConnectionGrant& grant);
   // Re-discovers standby replicas; newly seen standbys receive a full copy
   // of the allocation table so late joiners converge.
   void RefreshStandbys();
@@ -286,6 +294,9 @@ class CmgrService : public rpc::Skeleton {
   rpc::BindingTable bindings_;
   // Standby replica refs (refreshed periodically).
   std::vector<wire::ObjectRef> standbys_;
+  // Drops not yet acknowledged, by (standby, connection id).
+  std::map<std::pair<wire::ObjectRef, uint64_t>, ConnectionGrant>
+      unacked_drops_;
   PeriodicTimer standby_refresh_timer_;
 };
 

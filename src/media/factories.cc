@@ -74,7 +74,6 @@ void RegisterMediaServices(svc::ClusterHarness& harness,
     MdsService::Options opts;
     opts.capacity_bps = deployment.mds_capacity_bps;
     opts.chunk_period = deployment.mds_chunk_period;
-    opts.unplayed_grace = deployment.mds_unplayed_grace;
     auto* mds = ctx.process.Emplace<MdsService>(
         ctx.process.runtime(), ctx.process.executor(), std::move(library), opts,
         ctx.metrics);
@@ -165,8 +164,6 @@ void RegisterMediaServices(svc::ClusterHarness& harness,
     svc::ShardHost::Options host_opts;
     host_opts.rank = ServerIndexOf(ctx.harness, ctx.process.host());
     host_opts.replicas = mms_replica_count;
-    host_opts.stagger = deployment.shard_stagger;
-    host_opts.poll = deployment.shard_map_poll;
     auto* shard_host = ctx.process.Emplace<svc::ShardHost>(
         ctx, std::string(kMmsName), host_opts,
         [ctx, deployment, mms_pool_bps](uint32_t shard,
@@ -202,7 +199,7 @@ void RegisterMediaServices(svc::ClusterHarness& harness,
           return hosted;
         });
     shard_host->Start(
-        wire::ShardMap{deployment.mms_shards, deployment.shard_salt});
+        wire::ShardMap{deployment.mms_shards, wire::kDefaultShardSalt});
   });
 
   // --- Kernel broadcast (primary/backup source of the settop kernel) -------------

@@ -60,32 +60,20 @@ struct MediaDeployment {
   // deployments get no pool (admission off, preserving classic behaviour).
   // 0 disables admission explicitly; > 0 sets the pool per shard.
   int64_t mms_admission_pool_bps = -1;
-  // MDS ghost reclamation (MdsService::Options::unplayed_grace): close
-  // streams that were opened but never Played within this grace. Off by
-  // default — tests and benches legitimately hold null-sink sessions open;
-  // fault-injecting deployments (chaos) enable it to clean up opens whose
-  // ticket reply was lost.
-  Duration mds_unplayed_grace{};
 
   // --- Sharding (ROADMAP "Service resharding") --------------------------------
   // With mms_shards > 1 the MMS path space becomes svc/mms/<shard> plus a
   // shard map at svc/mms/.shards, every mmsd replica runs one lifecycle per
   // shard, and the N shard primaries spread round-robin across replicas.
-  // The default keeps the classic single-primary layout.
+  // The default keeps the classic single-primary layout. The map is salted
+  // with wire::kDefaultShardSalt; the preferred replica of shard s (rank
+  // s % replicas) contests its election at once and the others wait
+  // svc::kShardStagger, so shard primaries start spread, and every replica
+  // re-reads the map each svc::kShardMapPoll.
   uint32_t mms_shards = 1;
-  uint64_t shard_salt = wire::kDefaultShardSalt;
   // How many servers run an mmsd replica (each hosting every shard's
   // lifecycle). More replicas than shards just means deeper backup chains.
   size_t mms_replicas = 2;
-  // First-bind delay for replicas that are NOT a shard's preferred primary:
-  // the preferred replica (rank == shard % replicas) contests immediately
-  // and wins the opening election, so shard primaries start spread instead
-  // of piling onto whichever process booted first.
-  Duration shard_stagger = Duration::Seconds(3);
-  // How often each replica's ShardHost re-reads "<base>/.shards" for a newer
-  // map version (live rebalancing). Bounds the server side of the cutover
-  // window.
-  Duration shard_map_poll = Duration::Seconds(5);
 };
 
 // Must be called before harness.Boot().

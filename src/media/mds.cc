@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "src/common/logging.h"
 
 namespace itv::media {
 
@@ -19,8 +18,7 @@ class MdsService::MovieObject : public rpc::Skeleton {
         info_(std::move(info)),
         settop_host_(settop_host),
         connection_(connection),
-        sink_(sink),
-        opened_at_(mds_.executor_.Now()) {
+        sink_(sink) {
     ref_ = mds_.runtime_.Export(this);
   }
 
@@ -40,12 +38,12 @@ class MdsService::MovieObject : public rpc::Skeleton {
     s.settop_host = settop_host_;
     s.connection = connection_;
     s.movie = ref_;
+    s.sink = sink_;
+    s.played = played_;
     return s;
   }
 
   const MovieInfo& info() const { return info_; }
-  bool played() const { return played_; }
-  Time opened_at() const { return opened_at_; }
 
   void Dispatch(uint32_t method_id, const wire::Bytes& args,
                 const rpc::CallContext& ctx, rpc::ReplyFn reply) override {
@@ -103,7 +101,7 @@ class MdsService::MovieObject : public rpc::Skeleton {
   uint32_t settop_host_;
   ConnectionGrant connection_;
   wire::ObjectRef sink_;
-  Time opened_at_;
+  // Sticky: a paused stream still counts as played.
   bool played_ = false;
   wire::ObjectRef ref_;
   int64_t position_bytes_ = 0;
@@ -119,12 +117,7 @@ MdsService::MdsService(rpc::ObjectRuntime& runtime, Executor& executor,
       options_(options),
       metrics_(metrics),
       next_stream_id_(runtime.incarnation() << 20),
-      load_seq_(runtime.incarnation() << 20) {
-  if (!options_.unplayed_grace.is_zero()) {
-    reclaim_timer_.Start(executor_, options_.unplayed_grace / 2,
-                         [this] { ReclaimUnplayed(); });
-  }
-}
+      load_seq_(runtime.incarnation() << 20) {}
 
 MdsService::~MdsService() = default;
 
@@ -190,24 +183,6 @@ std::vector<SessionInfo> MdsService::DescribeSessions() const {
     out.push_back(session->Describe());
   }
   return out;
-}
-
-void MdsService::ReclaimUnplayed() {
-  Time now = executor_.Now();
-  std::vector<uint64_t> ghosts;
-  for (const auto& [id, session] : sessions_) {
-    if (!session->played() &&
-        now - session->opened_at() >= options_.unplayed_grace) {
-      ghosts.push_back(id);
-    }
-  }
-  for (uint64_t id : ghosts) {
-    ITV_LOG(Info) << "mds: reclaiming never-played stream " << id
-                  << " (title '" << sessions_[id]->info().title << "', opened "
-                  << (now - sessions_[id]->opened_at()).ToString() << " ago)";
-    Count("mds.unplayed_reclaimed");
-    HandleClose(id);
-  }
 }
 
 void MdsService::Dispatch(uint32_t method_id, const wire::Bytes& args,

@@ -99,6 +99,12 @@ struct SessionInfo {
   uint32_t settop_host = 0;
   ConnectionGrant connection;
   wire::ObjectRef movie;
+  // The MediaSink the stream delivers to (null for a viewerless open), and
+  // whether the viewer has ever played it. The MMS holds one stream per
+  // sink, and a sync that finds a second one uses `played` to tell an
+  // orphan from the stream the viewer moved to (mms.h).
+  wire::ObjectRef sink;
+  bool played = false;
 };
 
 inline void WireWrite(wire::Writer& w, const SessionInfo& s) {
@@ -107,6 +113,8 @@ inline void WireWrite(wire::Writer& w, const SessionInfo& s) {
   w.WriteU32(s.settop_host);
   WireWrite(w, s.connection);
   WireWrite(w, s.movie);
+  WireWrite(w, s.sink);
+  w.WriteBool(s.played);
 }
 inline void WireRead(wire::Reader& r, SessionInfo* s) {
   s->stream_id = r.ReadU64();
@@ -114,6 +122,8 @@ inline void WireRead(wire::Reader& r, SessionInfo* s) {
   s->settop_host = r.ReadU32();
   WireRead(r, &s->connection);
   WireRead(r, &s->movie);
+  WireRead(r, &s->sink);
+  s->played = r.ReadBool();
 }
 
 // One replica's state as the MMS needs it (paper Figure 4 step 4 and
@@ -186,15 +196,6 @@ class MdsService : public rpc::Skeleton {
     int64_t capacity_bps = 48'000'000;
     // OnData cadence while a movie plays.
     Duration chunk_period = Duration::Millis(500);
-    // Ghost reclamation: a stream that was opened but never Played within
-    // this grace is presumed orphaned (its MovieTicket — or the MMS's
-    // compensating Close — was lost in flight) and is closed server-side,
-    // which lets the trunk replica's grant audit free the settop's
-    // bandwidth. The legitimate flow plays within one RPC round trip of the
-    // ticket, so the grace only needs to clear transient open latency.
-    // Zero (the default) disables the sweep: synthetic harnesses open
-    // null-sink sessions that are intentionally never played.
-    Duration unplayed_grace{};
   };
 
   MdsService(rpc::ObjectRuntime& runtime, Executor& executor,
@@ -222,7 +223,6 @@ class MdsService : public rpc::Skeleton {
   void HandleClose(uint64_t stream_id);
   MdsLoad CurrentLoad() const;
   std::vector<SessionInfo> DescribeSessions() const;
-  void ReclaimUnplayed();
   const MovieInfo* FindMovie(const std::string& title) const;
   void Count(std::string_view name);
 
@@ -239,7 +239,6 @@ class MdsService : public rpc::Skeleton {
   // seeded so a restarted replica's sequence still moves forward.
   uint64_t load_seq_;
   std::map<uint64_t, std::unique_ptr<MovieObject>> sessions_;
-  PeriodicTimer reclaim_timer_;
 };
 
 }  // namespace itv::media

@@ -55,8 +55,8 @@ void MmsService::Start() {
     // whose ticket reply was lost mid-flight. Promotion-time recovery only
     // covers orphans created before THIS tenure; these are created during
     // it. Adoption registers the settop watch so a later settop death
-    // releases them; a live settop's never-played orphans are reclaimed by
-    // the MDS itself (MdsService::Options::unplayed_grace).
+    // releases them; an orphan whose viewer holds another stream is closed
+    // by the one-stream-per-sink rule (AdoptSessions).
     SyncRound(nullptr);
   });
 }
@@ -83,6 +83,7 @@ void MmsService::OnDemotedRole() {
     admission_.Release(session.connection.downstream_bps);
   }
   sessions_.clear();
+  sink_sessions_.clear();
 }
 
 // --- Live reshard -------------------------------------------------------------
@@ -113,13 +114,12 @@ size_t MmsService::DrainMovedSessions() {
     }
   }
   for (const wire::ObjectRef& movie : moved) {
-    auto it = sessions_.find(movie);
     // Hand off, do not reclaim: the watch drops and the entry leaves the
     // table, but the MDS stream keeps playing and the connection grant stays
     // held for the destination shard's primary to adopt.
-    audit_->Unwatch(it->second.watch);
-    admission_.Release(it->second.connection.downstream_bps);
-    sessions_.erase(it);
+    Session session = TakeSession(sessions_.find(movie));
+    audit_->Unwatch(session.watch);
+    admission_.Release(session.connection.downstream_bps);
     Count("mms.session_handoff");
   }
   return moved.size();
@@ -412,8 +412,13 @@ void MmsService::FinishOpen(MdsReplica* replica, const std::string& title,
           session.mds_ref = mds_ref;
           session.stream_id = ticket->stream_id;
           session.connection = grant;
+          session.sink = sink;
           // Step 9-10: watch the settop through the RAS; reclaim on death.
           WatchSettop(session);
+          // The viewer's newest open wins: a stream its sink still held was
+          // abandoned (a timed-out open sent again, a reopen whose Close has
+          // not landed yet).
+          IndexSink(ticket->movie, sink);
         } else {
           // A sync reply that overtook this one already adopted (and
           // watched) the stream and charged admission for it: this open's
@@ -443,13 +448,37 @@ void MmsService::HandleClose(const wire::ObjectRef& movie, rpc::ReplyFn reply) {
   return rpc::ReplyOk(reply);
 }
 
+void MmsService::IndexSink(const wire::ObjectRef& movie,
+                           const wire::ObjectRef& sink) {
+  if (sink.is_null()) {
+    return;
+  }
+  auto [entry, fresh] = sink_sessions_.try_emplace(sink, movie);
+  if (fresh) {
+    return;
+  }
+  wire::ObjectRef held = entry->second;
+  entry->second = movie;
+  ReclaimSession(held, /*tell_mds=*/true);
+  Count("mms.session_replaced");
+}
+
+MmsService::Session MmsService::TakeSession(SessionTable::iterator it) {
+  auto entry = sink_sessions_.find(it->second.sink);
+  if (entry != sink_sessions_.end() && entry->second == it->first) {
+    sink_sessions_.erase(entry);
+  }
+  Session session = std::move(it->second);
+  sessions_.erase(it);
+  return session;
+}
+
 void MmsService::ReclaimSession(const wire::ObjectRef& movie, bool tell_mds) {
   auto it = sessions_.find(movie);
   if (it == sessions_.end()) {
     return;
   }
-  Session session = std::move(it->second);
-  sessions_.erase(it);
+  Session session = TakeSession(it);
   audit_->Unwatch(session.watch);
 
   admission_.Release(session.connection.downstream_bps);
@@ -561,21 +590,33 @@ void MmsService::AdoptSessions(MdsReplica& replica,
       // here would double-watch (and double-reclaim) across shards.
       continue;
     }
-    auto [it, inserted] = sessions_.try_emplace(info.movie);
-    if (!inserted) {
+    if (sessions_.count(info.movie) != 0) {
       continue;
     }
-    Session& session = it->second;
+    if (!info.played && !info.sink.is_null() &&
+        sink_sessions_.count(info.sink) != 0) {
+      // The sink holds another stream and its viewer never played this one:
+      // this one's ticket was lost, or the viewer moved on first. Close it.
+      Count("mms.session_replaced");
+      CloseOnMds(replica, info.stream_id);
+      ReleaseGrant(info.connection);
+      continue;
+    }
+    Session& session = sessions_[info.movie];
     session.settop_host = info.settop_host;
     session.mds_name = replica.name;
     session.mds_ref = replica.ref;
     session.stream_id = info.stream_id;
     session.connection = info.connection;
+    session.sink = info.sink;
     // Admitted elsewhere (a previous primary's tenure or another shard);
     // its stream is live, so account it without re-judging the pool.
     admission_.Adopt(info.connection.downstream_bps);
     WatchSettop(session);
     Count("mms.session_adopted");
+    // A played stream replaces what its sink held: usually the stream the
+    // viewer left for this one, and if not, the viewer's next open wins.
+    IndexSink(info.movie, info.sink);
   }
 }
 

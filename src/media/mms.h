@@ -23,6 +23,17 @@
 // the stream: an Open reply and a Sync reply that both describe one stream
 // land on one table entry, whichever arrives first.
 //
+// One stream per viewer: a non-null MediaSink (the settop object the MDS
+// delivers to, owned by one VodApp) holds at most one session on a shard.
+// An open that completes for a sink already holding a session replaces it:
+// the older stream is closed on its MDS and its grant released
+// (mms.session_replaced). That reclaims what a live viewer abandoned, such
+// as an open its settop timed out on and sent again. A sync round that
+// reports a second stream for a held sink closes it if the viewer never
+// played it (its ticket was lost); a played one (granted by a sibling shard,
+// or by this shard before a fail-over) is the stream the viewer moved to,
+// and replaces the held one. A null sink (a viewerless open) holds nothing.
+//
 // Replication: primary/backup (Section 5.2) with NO replicated state — "the
 // volatile state of the MMS can be reconstructed by querying each MDS in the
 // cluster and by querying the Connection Manager" (Section 10.1.1). The
@@ -229,8 +240,10 @@ class MmsService : public rpc::Skeleton {
     uint64_t stream_id = 0;
     wire::ObjectRef mds_ref;
     ConnectionGrant connection;
+    wire::ObjectRef sink;
     ras::AuditClient::WatchId watch = 0;
   };
+  using SessionTable = std::map<wire::ObjectRef, Session>;
 
   // One sync round (see the header comment): `done` (optional) fires once
   // every replica has answered or failed. A round that a demotion overtook
@@ -259,6 +272,11 @@ class MmsService : public rpc::Skeleton {
                   std::vector<MdsReplica*> candidates, size_t index,
                   rpc::ReplyFn reply);
   void HandleClose(const wire::ObjectRef& movie, rpc::ReplyFn reply);
+  // Files a session just inserted under `movie` in the sink index; a session
+  // its sink held before is reclaimed.
+  void IndexSink(const wire::ObjectRef& movie, const wire::ObjectRef& sink);
+  // Removes a session from the table and the sink index.
+  Session TakeSession(SessionTable::iterator it);
   void ReclaimSession(const wire::ObjectRef& movie, bool tell_mds);
   // Sends the MDS Close for a stream in `replica.closing`.
   void CloseOnMds(MdsReplica& replica, uint64_t stream_id);
@@ -298,7 +316,9 @@ class MmsService : public rpc::Skeleton {
   std::unique_ptr<ras::AuditClient> audit_;
   std::map<std::string, MdsReplica> mds_;
   // Keyed by the stream's movie object.
-  std::map<wire::ObjectRef, Session> sessions_;
+  SessionTable sessions_;
+  // Sink -> movie of the one session that sink holds (non-null sinks only).
+  std::map<wire::ObjectRef, wire::ObjectRef> sink_sessions_;
   // Per-neighborhood connection managers (svc/cmgr/<nb>).
   rpc::BindingTable bindings_;
   // Per-shard grant budget (disabled unless Options::admission_pool_bps set).

@@ -237,7 +237,13 @@ void VodApp::OnEndOfStream(uint64_t stream_id) {
 }
 
 void VodApp::OnDataGap() {
-  gap_timer_ = kInvalidTimerId;
+  // Also called at once when a play fails, while chunks the stream sent
+  // before may have armed the timer: disarmed, it cannot fire into the
+  // reopen and start a second open beside it.
+  if (gap_timer_ != kInvalidTimerId) {
+    executor_.Cancel(gap_timer_);
+    gap_timer_ = kInvalidTimerId;
+  }
   if (!playing_) {
     return;
   }
@@ -258,10 +264,6 @@ void VodApp::OnDataGap() {
   // Section 3.5.2: close the original movie, ask the MMS to open it again.
   trace::ScopedContext scoped(tracer, reopen_ctx_);
   CloseSession();
-  if (!options_.auto_resume) {
-    Finish(UnavailableError("media stream failed"));
-    return;
-  }
   ++reopen_count_;
   if (metrics_ != nullptr) {
     metrics_->Add("vod.reopen");
@@ -321,6 +323,8 @@ void VodApp::Finish(Status status) {
     executor_.Cancel(gap_timer_);
     gap_timer_ = kInvalidTimerId;
   }
+  // A viewer that gives up holds no stream.
+  CloseSession();
   if (done_) {
     auto done = std::move(done_);
     done_ = nullptr;

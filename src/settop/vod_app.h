@@ -34,7 +34,6 @@ class VodApp {
     // How long without OnData before the app declares the stream dead. The
     // MDS sends every 500 ms by default, so 2 s = four missed chunks.
     Duration data_gap_timeout = Duration::Seconds(2);
-    bool auto_resume = true;
     rpc::BindingOptions mms_rebind;
     // Shard-aware placement (ROADMAP "Shard-aware admission"): when set, an
     // open the home MMS shard sheds with RESOURCE_EXHAUSTED is retried once

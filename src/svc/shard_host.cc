@@ -38,7 +38,7 @@ void ShardHost::Start(const wire::ShardMap& initial) {
           Reconcile(*r);
         }
       });
-  poll_timer_.Start(ctx_.process.executor(), options_.poll,
+  poll_timer_.Start(ctx_.process.executor(), kShardMapPoll,
                     [this] { Poll(); });
 }
 
@@ -48,8 +48,8 @@ void ShardHost::StartShard(uint32_t shard) {
   ServiceLifecycle::Options opts;
   if (map_.sharded()) {
     opts.shard_label = ShardLabel(shard, map_);
-    opts.binder.first_bind_delay = ShardStaggerFor(
-        shard, options_.rank, options_.replicas, map_, options_.stagger);
+    opts.binder.first_bind_delay =
+        ShardStaggerFor(shard, options_.rank, options_.replicas, map_);
   }
   active.lifecycle =
       ctx_.StartLifecycle(wire::ShardPath(base_, shard, map_),

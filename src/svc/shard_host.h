@@ -47,16 +47,23 @@
 
 namespace itv::svc {
 
+// Non-preferred replicas' first-bind delay per shard.
+inline constexpr Duration kShardStagger = Duration::Seconds(3);
+// Map re-read cadence. The cutover window a reshard observes is bounded by
+// this plus the client routers' map max age.
+inline constexpr Duration kShardMapPoll = Duration::Seconds(5);
+
 // Election stagger for one shard's lifecycle on the replica with rank
 // `rank` out of `replicas`: the preferred replica (round-robin by shard)
-// contests immediately, everyone else waits, so the opening elections place
-// one primary per replica instead of all N shards on the fastest booter.
+// contests immediately, everyone else waits kShardStagger, so the opening
+// elections place one primary per replica instead of all N shards on the
+// fastest booter.
 inline Duration ShardStaggerFor(uint32_t shard, size_t rank, size_t replicas,
-                                const wire::ShardMap& map, Duration stagger) {
+                                const wire::ShardMap& map) {
   if (!map.sharded() || replicas <= 1) {
     return Duration();
   }
-  return rank == shard % replicas ? Duration() : stagger;
+  return rank == shard % replicas ? Duration() : kShardStagger;
 }
 
 class ShardHost {
@@ -64,11 +71,6 @@ class ShardHost {
   struct Options {
     size_t rank = 0;      // This replica's rank among the service's replicas.
     size_t replicas = 1;  // Replica count (stagger placement input).
-    // Non-preferred replicas' first-bind delay per shard.
-    Duration stagger = Duration::Seconds(3);
-    // Map re-read cadence. The cutover window a reshard observes is bounded
-    // by this plus the client routers' map max age.
-    Duration poll = Duration::Seconds(5);
   };
 
   // What the factory hands back for one hosted shard.

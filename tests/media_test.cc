@@ -6,7 +6,9 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/media/factories.h"
@@ -191,6 +193,33 @@ class MediaTest : public ::testing::Test {
       return DeadlineExceededError("no list reply");
     }
     return grants.result();
+  }
+
+  // Drops the first routed message `match` accepts, and only that one: the
+  // next message routed clears the drop. Returns whether it has dropped.
+  using MessageMatch = std::function<bool(
+      const wire::Endpoint& src, const wire::Endpoint& dst,
+      const wire::Message& msg)>;
+  std::shared_ptr<const bool> DropFirstMessage(MessageMatch match) {
+    auto dropped = std::make_shared<bool>(false);
+    auto clear_next = std::make_shared<bool>(false);
+    sim::Network& net = cluster().network();
+    net.SetTap([&net, match, dropped, clear_next](const wire::Endpoint& src,
+                                                  const wire::Endpoint& dst,
+                                                  const wire::Message& msg) {
+      if (*clear_next) {
+        net.ClearFaultInjection();
+        *clear_next = false;
+      }
+      if (!*dropped && match(src, dst, msg)) {
+        sim::NetworkFaultOptions drop;
+        drop.drop_rate = 1.0;
+        net.SetFaultInjection(drop);
+        *dropped = true;
+        *clear_next = true;
+      }
+    });
+    return dropped;
   }
 
   svc::ClusterHarness harness_;
@@ -1107,6 +1136,102 @@ TEST_F(MediaTest, GrantAuditStaysOnTheServer) {
   }
 }
 
+// --- One stream per viewer sink ----------------------------------------------
+
+TEST_F(MediaTest, ResentOpenLeavesOneSession) {
+  // The viewer's CMgr does not answer the MMS's first Allocate, so the
+  // Allocate succeeds on its second attempt, past the settop's 2 s call
+  // timeout. The settop's binding layer sends the open again and both opens
+  // complete: the viewer's newest open replaces the abandoned one, which
+  // would otherwise keep a stream and 3 Mb/s of trunk for as long as the
+  // settop lives.
+  TestSettop s = MakeSettop(1);
+  uint64_t opens = metrics().Get("mms.open");
+  const uint64_t cmgr_type = wire::TypeIdFromName(kCmgrInterface);
+  auto dropped = DropFirstMessage([cmgr_type](const wire::Endpoint&,
+                                              const wire::Endpoint&,
+                                              const wire::Message& msg) {
+    return msg.kind == wire::MsgKind::kRequest && msg.type_id == cmgr_type &&
+           msg.method_id == kCmgrMethodAllocate;
+  });
+  s.vod->PlayMovie("T2", [](Status) {});
+  cluster().RunFor(Duration::Seconds(10));
+  cluster().network().SetTap(nullptr);
+  ASSERT_TRUE(*dropped);
+  ASSERT_TRUE(s.vod->playing());
+  ASSERT_EQ(metrics().Get("mms.open"), opens + 2) << "the open was not re-sent";
+
+  sim::Process& probe = harness_.SpawnProcessOn(0, "probe");
+  auto mms_ref = harness_.ClientFor(probe).Resolve(std::string(kMmsName));
+  cluster().RunFor(Duration::Seconds(2));
+  ASSERT_TRUE(mms_ref.is_ready() && mms_ref.result().ok());
+  auto hosts = MmsProxy(probe.runtime(), mms_ref.result().value())
+                   .ListSessionHosts();
+  cluster().RunFor(Duration::Seconds(1));
+  ASSERT_TRUE(hosts.is_ready() && hosts.result().ok());
+  EXPECT_EQ(std::count(hosts.result()->begin(), hosts.result()->end(),
+                       s.node->host()),
+            1);
+  EXPECT_EQ(TrunkReservedBps(0).value() + TrunkReservedBps(1).value(),
+            3'000'000);
+}
+
+TEST_F(MediaTest, LostTicketOrphanIsClosedForItsSink) {
+  // The first MDS Open reply to the MMS is lost: the MMS marks that replica
+  // dead, releases the grant and opens the title on the other replica. The
+  // first replica still holds the orphan for the same sink. The next sync
+  // round finds two streams for one sink, keeps the one the MMS holds and
+  // closes the orphan.
+  sim::Node& settop = harness_.AddSettop(1);
+  sim::Process& p = settop.Spawn("viewer");
+  auto mms_ref = harness_.ClientFor(p).Resolve(std::string(kMmsName));
+  cluster().RunFor(Duration::Seconds(2));
+  ASSERT_TRUE(mms_ref.is_ready() && mms_ref.result().ok());
+  MmsProxy mms(p.runtime(), mms_ref.result().value());
+  // A sink the MDS never delivers to: nothing plays either stream.
+  wire::ObjectRef sink;
+  sink.endpoint = p.endpoint();
+  sink.incarnation = p.incarnation();
+  sink.type_id = wire::TypeIdFromName(kMediaSinkInterface);
+  sink.object_id = 1;
+
+  // MDS Open calls seen, by (caller host, caller port, call id).
+  const uint64_t mds_type = wire::TypeIdFromName(kMdsInterface);
+  std::set<std::tuple<uint32_t, uint16_t, uint64_t>> open_calls;
+  auto dropped = DropFirstMessage([&open_calls, mds_type](
+                                      const wire::Endpoint& src,
+                                      const wire::Endpoint& dst,
+                                      const wire::Message& msg) {
+    if (msg.kind == wire::MsgKind::kRequest && msg.type_id == mds_type &&
+        msg.method_id == kMdsMethodOpen) {
+      open_calls.insert({src.host, src.port, msg.call_id});
+    }
+    return msg.kind == wire::MsgKind::kReply &&
+           open_calls.count({dst.host, dst.port, msg.call_id}) != 0;
+  });
+  auto ticket = mms.Open("T2", settop.host(), sink);
+  cluster().RunFor(Duration::Seconds(3));
+  cluster().network().SetTap(nullptr);
+  ASSERT_TRUE(*dropped);
+  ASSERT_EQ(metrics().Get("mms.mds_marked_dead"), 1u);
+  ASSERT_EQ(metrics().Get("mds.open"), 2u);  // The orphan, then the session.
+
+  cluster().RunFor(Duration::Seconds(7));  // One sync round plus the close.
+  auto load1 = LoadOfMds(0);
+  auto load2 = LoadOfMds(1);
+  ASSERT_TRUE(load1.ok() && load2.ok());
+  EXPECT_EQ(load1->active_streams + load2->active_streams, 1u);
+  auto held = mms.ListSessions();
+  cluster().RunFor(Duration::Seconds(1));
+  ASSERT_TRUE(held.is_ready() && held.result().ok());
+  EXPECT_EQ(*held.result(), 1u);
+  auto grants = GrantsOf(1);
+  ASSERT_TRUE(grants.ok()) << grants.status();
+  EXPECT_EQ(grants->size(), 1u);
+  EXPECT_EQ(TrunkReservedBps(0).value() + TrunkReservedBps(1).value(),
+            3'000'000);
+}
+
 // --- Live resharding (ROADMAP "Shard rebalancing") ----------------------------
 
 // Boots the MMS sharded 2-way, then publishes a v2 map growing it to 4
@@ -1127,7 +1252,6 @@ class MediaReshardTest : public MediaTest {
     MediaDeployment deploy = DefaultDeployment();
     deploy.mms_shards = kInitialShards;
     deploy.mms_replicas = 2;
-    deploy.shard_stagger = Duration::Seconds(1);
     return deploy;
   }
 
@@ -1253,54 +1377,6 @@ TEST_F(MediaReshardTest, LiveGrowHandsOffSessionsExactlyOnce) {
   auto load2 = LoadOfMds(1);
   ASSERT_TRUE(load1.ok() && load2.ok());
   EXPECT_EQ(load1->active_streams + load2->active_streams, 0u);
-}
-
-// MDS ghost reclamation (Options::unplayed_grace): a stream opened but never
-// Played — e.g. an open whose MovieTicket was lost in flight — is closed
-// server-side after the grace. A stream that HAS played survives, even if
-// currently paused: `played` is sticky.
-TEST(MdsUnplayedReclaimTest, ReclaimsNeverPlayedStreamOnly) {
-  svc::HarnessOptions hopts;
-  hopts.server_count = 2;
-  hopts.neighborhood_count = 2;
-  svc::ClusterHarness harness(hopts);
-  MediaDeployment deploy;
-  deploy.movies = {
-      {MovieInfo{"T2", 3'000'000, 3'000'000 / 8 * 3600}, {0, 1}}};
-  deploy.mds_unplayed_grace = Duration::Seconds(8);
-  RegisterMediaServices(harness, deploy);
-  harness.Boot();
-  harness.cluster().RunFor(Duration::Seconds(10));
-
-  sim::Node& settop = harness.AddSettop(1);
-  sim::Process& p = settop.Spawn("viewer");
-  auto mms_ref = harness.ClientFor(p).Resolve(std::string(kMmsName));
-  harness.cluster().RunFor(Duration::Seconds(2));
-  ASSERT_TRUE(mms_ref.is_ready() && mms_ref.result().ok());
-  MmsProxy mms(p.runtime(), mms_ref.result().value());
-
-  auto ghost = mms.Open("T2", settop.host(), wire::ObjectRef{});
-  auto played = mms.Open("T2", settop.host(), wire::ObjectRef{});
-  harness.cluster().RunFor(Duration::Seconds(2));
-  ASSERT_TRUE(ghost.is_ready() && ghost.result().ok())
-      << ghost.result().status();
-  ASSERT_TRUE(played.is_ready() && played.result().ok())
-      << played.result().status();
-  auto play = MovieProxy(p.runtime(), played.result()->movie).Play(0);
-  harness.cluster().RunFor(Duration::Seconds(2));
-  ASSERT_TRUE(play.is_ready() && play.result().ok());
-
-  // Past the grace plus one sweep: the never-played stream is gone (its
-  // movie object is unexported, so calls NACK), the playing one is live.
-  harness.cluster().RunFor(Duration::Seconds(15));
-  EXPECT_EQ(harness.metrics().Get("mds.unplayed_reclaimed"), 1u);
-  auto live = MovieProxy(p.runtime(), played.result()->movie).Position();
-  auto gone = MovieProxy(p.runtime(), ghost.result()->movie).Position();
-  harness.cluster().RunFor(Duration::Seconds(3));
-  ASSERT_TRUE(live.is_ready() && live.result().ok())
-      << live.result().status();
-  ASSERT_TRUE(gone.is_ready());
-  EXPECT_FALSE(gone.result().ok());
 }
 
 class MediaSurfTest : public MediaTest {

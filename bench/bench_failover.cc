@@ -18,8 +18,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_report.h"
@@ -203,8 +205,8 @@ TrialResult RunTrials(const Params& params, int trials, uint64_t seed) {
 }
 
 // Settops streaming through a VodApp each, with the jittered-backoff posture
-// real settops carry, started one every 200 ms round-robin over the
-// neighborhoods (or all in `only_neighborhood`, when set); settop i plays
+// real settops carry, started one every 200 ms round-robin over
+// `neighborhoods` (every neighborhood when empty); settop i plays
 // "movie-<i % titles>".
 struct Viewers {
   std::vector<settop::VodApp*> vods;
@@ -212,13 +214,15 @@ struct Viewers {
 };
 
 Viewers StartViewers(svc::ClusterHarness& harness, size_t count, size_t titles,
-                     uint8_t only_neighborhood = 0) {
+                     std::vector<uint8_t> neighborhoods = {}) {
   Viewers out;
-  const size_t neighborhoods = harness.options().neighborhood_count;
+  if (neighborhoods.empty()) {
+    for (uint8_t nb = 1; nb <= harness.options().neighborhood_count; ++nb) {
+      neighborhoods.push_back(nb);
+    }
+  }
   for (size_t i = 0; i < count; ++i) {
-    uint8_t nb = only_neighborhood != 0
-                     ? only_neighborhood
-                     : static_cast<uint8_t>(1 + (i % neighborhoods));
+    uint8_t nb = neighborhoods[i % neighborhoods.size()];
     sim::Node& settop = harness.AddSettop(nb);
     out.hosts.push_back(settop.host());
     sim::Process& p = settop.Spawn("viewer");
@@ -588,36 +592,49 @@ ReshardBenchResult RunLiveReshard(size_t settop_count) {
   return out;
 }
 
-// --- E1e: a neighborhood's server crashes under its own viewers ------------------
+// --- E1e/E1f: a server crashes under streaming viewers -----------------------
 //
-// A 4-server cluster on the paper's clocks; 32 settops of neighborhood 3 stream
-// through VodApps, all homed on server 3: it heads their neighborhood, holds
-// the name-service replica their lookups start at, runs the neighborhood's
-// CMgr primary and serves some of their streams. Server 3 crashes and comes
-// back 60 s later, as in itvbench's server_crash. A viewer whose stream was on
-// server 3 goes dark until its first chunk after the crash; it reopens
-// through the MMS (alive on servers 1 and 2), which needs the neighborhood's
-// CMgr standby on server 4 to take over. Every re-resolve on the way times
-// out at the dead home replica and is answered by the next one in the
-// settop's list, and the MMS's release of the interrupted session's grant
-// waits for the standby. A viewer whose reopen fails presses play again 2 s
-// later (a retry), as itvbench's server_crash viewers do.
+// A 4-server cluster on the paper's clocks; 32 settops stream through
+// VodApps. Server 3 crashes and comes back 60 s later, as in itvbench's
+// server_crash. A viewer whose stream was on server 3 goes dark until its
+// first chunk after the crash: its data-gap timer fires and it reopens
+// through the MMS (alive on servers 1 and 2). A viewer whose reopen fails
+// presses play again 2 s later (a retry), as itvbench's server_crash viewers
+// do.
+//
+// E1e: the viewers are all of neighborhood 3 and homed on server 3: it heads
+// their neighborhood, holds the name-service replica their lookups start at,
+// runs the neighborhood's CMgr primary and serves some of their streams. A
+// reopen needs the neighborhood's CMgr standby on server 4 to take over.
+// Every re-resolve on the way times out at the dead home replica and is
+// answered by the next one in the settop's list, and the MMS's release of
+// the interrupted session's grant waits for the standby.
+//
+// E1f: the viewers are of neighborhoods 1, 2 and 4, whose CMgrs survive. The
+// MMS learns that server 3's MDS is gone only from its next sync round, so
+// a reopen can reach an MMS that still offers it. An open there stalls on the
+// dead server's trunk past the settop's Open timeout; the settop then drops
+// its binding of the live MMS and sends the open again. The reopen names the
+// MDS that went quiet, and the MMS tries it last.
 
-constexpr size_t kHomeCrashViewers = 32;
-constexpr double kHomeCrashRestoreS = 60;
+constexpr size_t kServerCrashViewers = 32;
+constexpr double kServerCrashRestoreS = 60;
 
-struct HomeCrashResult {
+struct ServerCrashResult {
   size_t interrupted = 0;  // Viewers streaming from the crashed server.
   size_t resumed = 0;      // Of those, viewers that got a chunk again.
   Histogram dark_s;        // Crash -> first chunk, per resumed viewer.
   uint64_t retries = 0;    // Plays pressed again after a failed reopen.
   uint64_t failovers = 0;  // naming.resolve_failover during the phase.
+  // MMS Opens the interrupted viewers sent that drew no reply within the
+  // settop's call timeout.
+  uint64_t open_timeouts = 0;
   bool ok = false;
 };
 
-HomeCrashResult RunHomeCrash() {
+ServerCrashResult RunServerCrash(const std::vector<uint8_t>& neighborhoods) {
   constexpr size_t kServers = 4;
-  constexpr uint8_t kHome = 3;
+  constexpr size_t kCrashIndex = 2;  // Server 3.
 
   svc::HarnessOptions opts;
   opts.server_count = kServers;
@@ -636,25 +653,49 @@ HomeCrashResult RunHomeCrash() {
   media::RegisterMediaServices(harness, deploy);
   harness.Boot();
   harness.cluster().RunFor(Duration::Seconds(20));
-  Viewers viewers = StartViewers(harness, kHomeCrashViewers,
-                                 deploy.movies.size(), kHome);
+  Viewers viewers = StartViewers(harness, kServerCrashViewers,
+                                 deploy.movies.size(), neighborhoods);
   harness.cluster().RunFor(Duration::Seconds(12));
 
-  HomeCrashResult out;
-  const size_t home_index = kHome - 1;
-  const uint32_t home_host = harness.HostOf(home_index);
+  ServerCrashResult out;
+  const uint32_t crash_host = harness.HostOf(kCrashIndex);
   std::vector<size_t> dark;
+  std::set<uint32_t> dark_hosts;
   std::vector<uint64_t> chunk_base;
   for (size_t i = 0; i < viewers.vods.size(); ++i) {
-    if (viewers.vods[i]->mds_host() == home_host) {
+    if (viewers.vods[i]->mds_host() == crash_host) {
       dark.push_back(i);
+      dark_hosts.insert(viewers.hosts[i]);
     }
   }
   out.interrupted = dark.size();
+
+  // Every MMS Open an interrupted viewer sends, keyed by (settop, call id),
+  // until its reply is routed.
+  const Duration open_timeout = rpc::CallOptions().timeout;
+  const uint64_t mms_type = wire::TypeIdFromName(media::kMmsInterface);
+  std::map<std::pair<uint32_t, uint64_t>, Time> opens_in_flight;
+  sim::Cluster& cluster = harness.cluster();
+  cluster.network().SetTap([&](const wire::Endpoint& src,
+                               const wire::Endpoint& dst,
+                               const wire::Message& msg) {
+    if (msg.kind == wire::MsgKind::kRequest && dark_hosts.count(src.host) &&
+        msg.type_id == mms_type && msg.method_id == media::kMmsMethodOpen) {
+      opens_in_flight[{src.host, msg.call_id}] = cluster.Now();
+    } else if (msg.kind != wire::MsgKind::kRequest &&
+               dark_hosts.count(dst.host)) {
+      auto it = opens_in_flight.find({dst.host, msg.call_id});
+      if (it != opens_in_flight.end()) {
+        out.open_timeouts += cluster.Now() - it->second > open_timeout;
+        opens_in_flight.erase(it);
+      }
+    }
+  });
+
   uint64_t failover_base = harness.metrics().Get("naming.resolve_failover");
-  Time crash_at = harness.cluster().Now();
-  harness.server(home_index).Crash();
-  harness.cluster().RunFor(Duration::Seconds(1));
+  Time crash_at = cluster.Now();
+  harness.server(kCrashIndex).Crash();
+  cluster.RunFor(Duration::Seconds(1));
   for (size_t i : dark) {
     chunk_base.push_back(viewers.vods[i]->chunks_received());
   }
@@ -662,12 +703,12 @@ HomeCrashResult RunHomeCrash() {
   bool restored = false;
   std::vector<double> resumed_at(dark.size(), -1.0);
   std::vector<double> failed_at(dark.size(), -1.0);
-  while (harness.cluster().Now() - crash_at < Duration::Seconds(120)) {
-    harness.cluster().RunFor(Duration::Millis(100));
-    double elapsed = (harness.cluster().Now() - crash_at).seconds();
-    if (!restored && elapsed >= kHomeCrashRestoreS) {
-      harness.server(home_index).Restart();
-      harness.StartSsc(home_index);
+  while (cluster.Now() - crash_at < Duration::Seconds(120)) {
+    cluster.RunFor(Duration::Millis(100));
+    double elapsed = (cluster.Now() - crash_at).seconds();
+    if (!restored && elapsed >= kServerCrashRestoreS) {
+      harness.server(kCrashIndex).Restart();
+      harness.StartSsc(kCrashIndex);
       restored = true;
     }
     size_t waiting = 0;
@@ -693,6 +734,12 @@ HomeCrashResult RunHomeCrash() {
       break;
     }
   }
+  cluster.network().SetTap(nullptr);
+  // An Open still unanswered at the end timed out if its settop's timeout
+  // has passed.
+  for (const auto& [key, sent] : opens_in_flight) {
+    out.open_timeouts += cluster.Now() - sent > open_timeout;
+  }
   for (double at : resumed_at) {
     if (at >= 0) {
       ++out.resumed;
@@ -702,7 +749,7 @@ HomeCrashResult RunHomeCrash() {
   out.failovers =
       harness.metrics().Get("naming.resolve_failover") - failover_base;
   out.ok = out.interrupted > 0 && out.resumed == out.interrupted &&
-           out.dark_s.Max() < kHomeCrashRestoreS;
+           out.dark_s.Max() < kServerCrashRestoreS;
   return out;
 }
 
@@ -874,30 +921,66 @@ int main() {
       "chunk for each viewer whose stream\nwas on server 3; failovers counts "
       "lookups passed to the next replica in a\nsettop's list "
       "(naming.resolve_failover); retries counts plays pressed again after "
-      "a\nfailed reopen.\n\n",
-      kHomeCrashViewers, kHomeCrashRestoreS);
+      "a\nfailed reopen; open_timeouts counts the MMS Opens those viewers "
+      "sent that drew\nno reply within the settop's call timeout.\n\n",
+      kServerCrashViewers, kServerCrashRestoreS);
   bench::PrintRow({"viewers", "interrupted", "resumed", "dark_p50_s",
                    "dark_max_s", "restore_s", "retries", "failovers",
-                   "verdict"});
-  HomeCrashResult hc = RunHomeCrash();
-  bench::PrintRow({bench::FmtInt(kHomeCrashViewers),
+                   "open_timeouts", "verdict"});
+  ServerCrashResult hc = RunServerCrash({3});
+  bench::PrintRow({bench::FmtInt(kServerCrashViewers),
                    bench::FmtInt(hc.interrupted), bench::FmtInt(hc.resumed),
                    bench::Fmt("%.1f", hc.dark_s.Percentile(50)),
                    bench::Fmt("%.1f", hc.dark_s.Max()),
-                   bench::Fmt("%.0f", kHomeCrashRestoreS),
+                   bench::Fmt("%.0f", kServerCrashRestoreS),
                    bench::FmtInt(hc.retries), bench::FmtInt(hc.failovers),
-                   hc.ok ? "pass" : "FAIL"});
+                   bench::FmtInt(hc.open_timeouts), hc.ok ? "pass" : "FAIL"});
   report.SetInt("home_crash_interrupted", hc.interrupted);
   report.SetInt("home_crash_resumed", hc.resumed);
   report.SetInt("home_crash_retries", hc.retries);
   report.Set("home_crash_dark_p50_s", hc.dark_s.Percentile(50));
   report.Set("home_crash_dark_max_s", hc.dark_s.Max());
   report.SetInt("home_crash_resolve_failovers", hc.failovers);
+  report.SetInt("home_crash_open_timeouts", hc.open_timeouts);
   report.SetText("home_crash_verdict", hc.ok ? "pass" : "fail");
   std::printf(
       "\nexpect: every interrupted viewer resumes before the restore, on the "
       "fail-over\nclocks (CMgr standby takeover, at most 25 s), not at the "
       "restore.\n");
+
+  bench::PrintHeader(
+      "E1f: a server crashes under other neighborhoods' viewers (paper "
+      "defaults)");
+  std::printf(
+      "4 servers; %zu settops of neighborhoods 1, 2 and 4 stream. Server 3 "
+      "crashes and is\nrestored %.0f s later; the viewers' CMgrs survive. "
+      "Columns as in E1e. A reopen\nnames the MDS that went quiet, so the MMS "
+      "tries the title's other replica first,\neven before a sync round has "
+      "found server 3 silent.\n\n",
+      kServerCrashViewers, kServerCrashRestoreS);
+  bench::PrintRow({"viewers", "interrupted", "resumed", "dark_p50_s",
+                   "dark_max_s", "restore_s", "retries", "failovers",
+                   "open_timeouts", "verdict"});
+  ServerCrashResult oc = RunServerCrash({1, 2, 4});
+  bench::PrintRow({bench::FmtInt(kServerCrashViewers),
+                   bench::FmtInt(oc.interrupted), bench::FmtInt(oc.resumed),
+                   bench::Fmt("%.1f", oc.dark_s.Percentile(50)),
+                   bench::Fmt("%.1f", oc.dark_s.Max()),
+                   bench::Fmt("%.0f", kServerCrashRestoreS),
+                   bench::FmtInt(oc.retries), bench::FmtInt(oc.failovers),
+                   bench::FmtInt(oc.open_timeouts), oc.ok ? "pass" : "FAIL"});
+  report.SetInt("other_crash_interrupted", oc.interrupted);
+  report.SetInt("other_crash_resumed", oc.resumed);
+  report.SetInt("other_crash_retries", oc.retries);
+  report.Set("other_crash_dark_p50_s", oc.dark_s.Percentile(50));
+  report.Set("other_crash_dark_max_s", oc.dark_s.Max());
+  report.SetInt("other_crash_open_timeouts", oc.open_timeouts);
+  report.SetText("other_crash_verdict", oc.ok ? "pass" : "fail");
+  std::printf(
+      "\nexpect: every interrupted viewer resumes one data-gap timeout after "
+      "its last\nchunk, with no retries and no Open timeouts.\n");
+  ITV_CHECK(oc.open_timeouts == 0)
+      << oc.open_timeouts << " settop Open timeouts during reopens";
 
   report.WriteMerged();
   return 0;

@@ -136,7 +136,7 @@ RunResult RunCluster(size_t servers, size_t settops_per_server,
     Time started = viewer.started;
     mms_for(viewer).Call<media::MmsTicket>(
         [title, settop_host = settop.host()](const media::MmsProxy& mms) {
-          return mms.Open(title, settop_host, wire::ObjectRef{});
+          return mms.Open(title, settop_host, wire::ObjectRef{}, 0);
         },
         [done, cluster, started,
          &open_latency](Result<media::MmsTicket> t) mutable {
@@ -195,7 +195,7 @@ RunResult RunCluster(size_t servers, size_t settops_per_server,
             }
             reopen.Call<media::MmsTicket>(
                 [title, settop_host](const media::MmsProxy& mms) {
-                  return mms.Open(title, settop_host, wire::ObjectRef{});
+                  return mms.Open(title, settop_host, wire::ObjectRef{}, 0);
                 },
                 [done](Result<media::MmsTicket> t) mutable {
                   done.Set(std::move(t));
@@ -287,7 +287,7 @@ ShardRunResult RunShardCluster(uint32_t shards, size_t settop_count) {
     mms.Call<media::MmsTicket>(
         settop.host(),
         [title, settop_host = settop.host()](const media::MmsProxy& proxy) {
-          return proxy.Open(title, settop_host, wire::ObjectRef{});
+          return proxy.Open(title, settop_host, wire::ObjectRef{}, 0);
         },
         [done, cluster, started,
          &open_latency](Result<media::MmsTicket> t) mutable {
@@ -547,7 +547,7 @@ BackgroundResult RunStreamingBackground(size_t servers) {
     table->Bind<media::MmsProxy>(media::kMmsName)
         .Call<media::MmsTicket>(
             [title, host = settop.host()](const media::MmsProxy& mms) {
-              return mms.Open(title, host, wire::ObjectRef{});
+              return mms.Open(title, host, wire::ObjectRef{}, 0);
             },
             [done](Result<media::MmsTicket> t) mutable {
               done.Set(std::move(t));

@@ -1,6 +1,7 @@
 #include "src/media/mms.h"
 
 #include <algorithm>
+#include <functional>
 #include <utility>
 
 #include "src/common/address.h"
@@ -280,7 +281,8 @@ void MmsService::ReleaseGrant(const ConnectionGrant& grant) {
 }
 
 void MmsService::HandleOpen(const std::string& title, uint32_t settop_host,
-                            const wire::ObjectRef& sink, rpc::ReplyFn reply) {
+                            const wire::ObjectRef& sink, uint32_t quiet_mds,
+                            rpc::ReplyFn reply) {
   Count("mms.open");
   if (!IsSettopHost(settop_host)) {
     return rpc::ReplyError(reply,
@@ -325,6 +327,20 @@ void MmsService::HandleOpen(const std::string& title, uint32_t settop_host,
     }
     return rpc::ReplyError(
         reply, NotFoundError("no live MDS replica can serve " + title));
+  }
+  // The settop's stream from `quiet_mds` went quiet, most likely because its
+  // server crashed before a sync round could notice. An open there would
+  // stall on the dead server's trunk past the settop's own Open timeout, so
+  // that replica goes last, behind every other candidate.
+  auto quiet = [quiet_mds](const MdsReplica* replica) {
+    return replica->ref.endpoint.host == quiet_mds;
+  };
+  auto first_quiet = std::find_if(candidates.begin(), candidates.end(), quiet);
+  if (std::find_if_not(first_quiet, candidates.end(), quiet) !=
+      candidates.end()) {
+    std::stable_partition(candidates.begin(), candidates.end(),
+                          std::not_fn(quiet));
+    Count("mms.open_quiet_last");
   }
   TryOpenOn(std::move(candidates), 0, title, settop_host, sink, std::move(reply));
 }
@@ -629,7 +645,8 @@ void MmsService::Dispatch(uint32_t method_id, const wire::Bytes& args,
       std::string title;
       uint32_t settop_host = 0;
       wire::ObjectRef sink;
-      if (!rpc::DecodeArgs(args, &title, &settop_host, &sink)) {
+      uint32_t quiet_mds = 0;
+      if (!rpc::DecodeArgs(args, &title, &settop_host, &sink, &quiet_mds)) {
         return rpc::ReplyBadArgs(reply);
       }
       if (settop_host == 0) {
@@ -639,7 +656,7 @@ void MmsService::Dispatch(uint32_t method_id, const wire::Bytes& args,
         return rpc::ReplyError(
             reply, UnavailableError("not the primary MMS replica"));
       }
-      return HandleOpen(title, settop_host, sink, std::move(reply));
+      return HandleOpen(title, settop_host, sink, quiet_mds, std::move(reply));
     }
     case kMmsMethodClose: {
       wire::ObjectRef movie;

@@ -46,6 +46,11 @@
 // an MDS replica fails, the MMS assumes that the replica is dead. The MMS
 // will periodically re-resolve and retry the MDS object reference." A
 // rebindable Open error marks the replica dead until a round hears from it.
+// A settop learns of a dead replica sooner, from its stream going quiet, and
+// its reopen names that replica's host: the MMS tries it after every other
+// candidate (mms.open_quiet_last). The hint only reorders. A title the quiet
+// replica alone holds still opens there, so a stale or false report cannot
+// deny service, and the MMS keeps no state from it.
 
 #ifndef SRC_MEDIA_MMS_H_
 #define SRC_MEDIA_MMS_H_
@@ -111,10 +116,14 @@ class MmsProxy : public rpc::Proxy {
   using Proxy::Proxy;
   // `sink` is the settop's MediaSink object; `settop_host` defaults to the
   // caller (servers opening on behalf of a settop pass it explicitly).
+  // `quiet_mds` is the host of the MDS whose stream this settop just lost
+  // (a reopen, Section 3.5.2), or 0 for a fresh open; the MMS tries that
+  // replica last.
   Future<MmsTicket> Open(const std::string& title, uint32_t settop_host,
-                         const wire::ObjectRef& sink) const {
-    return rpc::DecodeReply<MmsTicket>(
-        Call(kMmsMethodOpen, rpc::EncodeArgs(title, settop_host, sink)));
+                         const wire::ObjectRef& sink,
+                         uint32_t quiet_mds) const {
+    return rpc::DecodeReply<MmsTicket>(Call(
+        kMmsMethodOpen, rpc::EncodeArgs(title, settop_host, sink, quiet_mds)));
   }
   // Close is keyed by the movie object, the MMS's session key: it lives in
   // the MDS, so it stays valid across an MMS fail-over.
@@ -262,7 +271,8 @@ class MmsService : public rpc::Skeleton {
                                          bool* saw_title = nullptr);
 
   void HandleOpen(const std::string& title, uint32_t settop_host,
-                  const wire::ObjectRef& sink, rpc::ReplyFn reply);
+                  const wire::ObjectRef& sink, uint32_t quiet_mds,
+                  rpc::ReplyFn reply);
   void TryOpenOn(std::vector<MdsReplica*> candidates, size_t index,
                  const std::string& title, uint32_t settop_host,
                  const wire::ObjectRef& sink, rpc::ReplyFn reply);

@@ -72,6 +72,7 @@ void VodApp::PlayMovie(const std::string& title,
   playing_ = true;
   position_bytes_ = 0;
   reopen_count_ = 0;
+  quiet_mds_ = 0;
   OpenAndPlay(0);
 }
 
@@ -83,9 +84,9 @@ void VodApp::OpenAndPlay(int64_t from_position) {
 void VodApp::OpenAttempt(int64_t from_position,
                          std::optional<uint32_t> shard) {
   uint32_t my_host = runtime_.local_endpoint().host;
-  auto call = [title = title_, my_host,
-               sink = sink_ref_](const media::MmsProxy& mms) {
-    return mms.Open(title, my_host, sink);
+  auto call = [title = title_, my_host, sink = sink_ref_,
+               quiet_mds = quiet_mds_](const media::MmsProxy& mms) {
+    return mms.Open(title, my_host, sink, quiet_mds);
   };
   auto done = [this, from_position, shard](Result<media::MmsTicket> ticket) {
         if (!playing_) {
@@ -261,8 +262,10 @@ void VodApp::OnDataGap() {
     tracer->Instant(reopen_ctx_, "vod.data_gap",
                     title_ + " pos=" + std::to_string(position_bytes_));
   }
-  // Section 3.5.2: close the original movie, ask the MMS to open it again.
+  // Section 3.5.2: close the original movie, ask the MMS to open it again,
+  // naming the server that went quiet so the MMS tries it last.
   trace::ScopedContext scoped(tracer, reopen_ctx_);
+  quiet_mds_ = mds_host_;
   CloseSession();
   ++reopen_count_;
   if (metrics_ != nullptr) {

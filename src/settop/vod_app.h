@@ -111,6 +111,8 @@ class VodApp {
   uint32_t sibling_retries_ = 0;
   uint64_t chunks_received_ = 0;
   uint32_t mds_host_ = 0;
+  // The server whose stream went quiet, named in reopens (0 = fresh open).
+  uint32_t quiet_mds_ = 0;
   TimerId gap_timer_ = kInvalidTimerId;
   // Trace of an in-progress reopen: rooted when a data gap is detected,
   // closed (as the vod.reopen span) when playback resumes.

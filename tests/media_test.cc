@@ -462,7 +462,7 @@ TEST_F(MediaTest, SettopBandwidthCapRejectsThirdStream) {
 
   std::vector<Future<MmsTicket>> opens;
   for (int i = 0; i < 3; ++i) {
-    opens.push_back(mms.Open("T2", s.node->host(), wire::ObjectRef{}));
+    opens.push_back(mms.Open("T2", s.node->host(), wire::ObjectRef{}, 0));
     cluster().RunFor(Duration::Seconds(2));
   }
   ASSERT_TRUE(opens[0].is_ready() && opens[0].result().ok())
@@ -472,6 +472,40 @@ TEST_F(MediaTest, SettopBandwidthCapRejectsThirdStream) {
   ASSERT_TRUE(opens[2].is_ready());
   EXPECT_TRUE(IsResourceExhausted(opens[2].result().status()))
       << opens[2].result().status();
+}
+
+TEST_F(MediaTest, QuietReplicaIsTriedLastNotExcluded) {
+  // A reopen's quiet_mds only reorders the candidates: naming the less
+  // loaded replica of "T2" sends the open to the other one, a fresh open
+  // keeps least-loaded order, and "solo", held only by server 2, still
+  // opens there when server 2 is named.
+  TestSettop a = BootSettop(1);
+  TestSettop b = BootSettop(1);
+  auto mms_ref = a.am->name_client().Resolve(std::string(kMmsName));
+  cluster().RunFor(Duration::Seconds(2));
+  ASSERT_TRUE(mms_ref.is_ready() && mms_ref.result().ok());
+  MmsProxy mms(a.process->runtime(), mms_ref.result().value());
+  auto open_on = [&](const TestSettop& s, const std::string& title,
+                     uint32_t quiet_mds) -> uint32_t {
+    auto ticket = mms.Open(title, s.node->host(), wire::ObjectRef{}, quiet_mds);
+    cluster().RunFor(Duration::Seconds(2));
+    if (!ticket.is_ready() || !ticket.result().ok()) {
+      ADD_FAILURE() << "open of " << title << " failed";
+      return 0;
+    }
+    return ticket.result()->mds_host;
+  };
+
+  const uint32_t busy = open_on(a, "T2", 0);
+  ASSERT_NE(busy, 0u);
+  const uint32_t idle =
+      busy == harness_.HostOf(0) ? harness_.HostOf(1) : harness_.HostOf(0);
+  const uint64_t reordered = metrics().Get("mms.open_quiet_last");
+  EXPECT_EQ(open_on(a, "T2", idle), busy);
+  EXPECT_EQ(metrics().Get("mms.open_quiet_last"), reordered + 1);
+  EXPECT_EQ(open_on(b, "T2", 0), idle);
+  EXPECT_EQ(open_on(b, "solo", harness_.HostOf(1)), harness_.HostOf(1));
+  EXPECT_EQ(metrics().Get("mms.open_quiet_last"), reordered + 1);
 }
 
 TEST_F(MediaTest, StreamClosedBehindTheMmsIsReclaimed) {
@@ -485,7 +519,7 @@ TEST_F(MediaTest, StreamClosedBehindTheMmsIsReclaimed) {
   cluster().RunFor(Duration::Seconds(2));
   ASSERT_TRUE(mms_ref.is_ready() && mms_ref.result().ok());
   MmsProxy mms(p.runtime(), mms_ref.result().value());
-  auto ticket = mms.Open("T2", s.node->host(), wire::ObjectRef{});
+  auto ticket = mms.Open("T2", s.node->host(), wire::ObjectRef{}, 0);
   cluster().RunFor(Duration::Seconds(2));
   ASSERT_TRUE(ticket.is_ready() && ticket.result().ok());
 
@@ -571,7 +605,7 @@ TEST_F(MediaTest, MoviePauseStopsDeliveryAndPositionResumes) {
   cluster().RunFor(Duration::Seconds(2));
   ASSERT_TRUE(mms_ref.is_ready() && mms_ref.result().ok());
   auto open = MmsProxy(probe.runtime(), mms_ref.result().value())
-                  .Open("T2", s.node->host(), wire::ObjectRef{});
+                  .Open("T2", s.node->host(), wire::ObjectRef{}, 0);
   cluster().RunFor(Duration::Seconds(2));
   ASSERT_TRUE(open.is_ready() && open.result().ok()) << open.result().status();
   MovieProxy movie(probe.runtime(), open.result()->movie);
@@ -738,7 +772,7 @@ TEST_F(MediaTest, MmsBackupSendsOpensAndClosesBackToTheNameService) {
   ASSERT_NE(backup_ref.endpoint.host, primary.result()->endpoint.host);
 
   MmsProxy backup(probe.runtime(), backup_ref);
-  auto open = backup.Open("T2", s.node->host(), wire::ObjectRef());
+  auto open = backup.Open("T2", s.node->host(), wire::ObjectRef(), 0);
   auto close = backup.Close(wire::ObjectRef());
   cluster().RunFor(Duration::Seconds(1));
   ASSERT_TRUE(open.is_ready() && close.is_ready());
@@ -858,7 +892,7 @@ TEST_F(MediaTest, MmsOpenReplyAfterDemotionKeepsNothing) {
   // "solo" lives on the second server only, so the MDS reply crosses the
   // network to this replica on the first.
   auto ticket = MmsProxy(viewer.runtime(), mms->ref())
-                    .Open("solo", settop.host(), wire::ObjectRef());
+                    .Open("solo", settop.host(), wire::ObjectRef(), 0);
   // Step until the MDS has the open: its reply is now in flight.
   const uint64_t opens = metrics().Get("mds.open");
   for (int step = 0; step < 50'000 && metrics().Get("mds.open") == opens;
@@ -1209,7 +1243,7 @@ TEST_F(MediaTest, LostTicketOrphanIsClosedForItsSink) {
     return msg.kind == wire::MsgKind::kReply &&
            open_calls.count({dst.host, dst.port, msg.call_id}) != 0;
   });
-  auto ticket = mms.Open("T2", settop.host(), sink);
+  auto ticket = mms.Open("T2", settop.host(), sink, 0);
   cluster().RunFor(Duration::Seconds(3));
   cluster().network().SetTap(nullptr);
   ASSERT_TRUE(*dropped);
@@ -1613,6 +1647,39 @@ class MediaHomeCrashSlowSyncTest : public MediaHomeCrashTest {
     deploy.mms.mds_refresh_interval = Duration::Seconds(20);
     return deploy;
   }
+
+  // Crashes server 3 just after the MMS's round has heard from its MDS, so
+  // the MMS lists that MDS as alive until its next round, 20 s later.
+  void CrashJustAfterMmsSync() {
+    sim::Process& probe = harness_.SpawnProcessOn(0, "probe");
+    auto mms = harness_.ClientFor(probe).Resolve(std::string(kMmsName));
+    cluster().RunFor(Duration::Seconds(1));
+    ASSERT_TRUE(mms.is_ready() && mms.result().ok());
+    const uint32_t mms_host = mms.result()->endpoint.host;
+    // The MMS's Sync request to server 3's MDS, then its reply.
+    uint64_t sync_call = 0;
+    bool synced = false;
+    cluster().network().SetTap([&, mms_host, mds_host = home().host()](
+                                   const wire::Endpoint& src,
+                                   const wire::Endpoint& dst,
+                                   const wire::Message& msg) {
+      if (msg.kind == wire::MsgKind::kRequest && src.host == mms_host &&
+          dst.host == mds_host &&
+          msg.type_id == wire::TypeIdFromName(kMdsInterface) &&
+          msg.method_id == kMdsMethodSync) {
+        sync_call = msg.call_id;
+      } else if (msg.kind == wire::MsgKind::kReply && sync_call != 0 &&
+                 msg.call_id == sync_call && src.host == mds_host) {
+        synced = true;
+      }
+    });
+    for (int step = 0; step < 250 && !synced; ++step) {
+      cluster().RunFor(Duration::Millis(100));
+    }
+    cluster().network().SetTap(nullptr);
+    ASSERT_TRUE(synced);
+    home().Crash();
+  }
 };
 
 TEST_F(MediaHomeCrashSlowSyncTest, MmsStopsOfferingAnMdsTheNameServiceUnbound) {
@@ -1629,34 +1696,7 @@ TEST_F(MediaHomeCrashSlowSyncTest, MmsStopsOfferingAnMdsTheNameServiceUnbound) {
   ASSERT_TRUE(first->playing());
   ASSERT_EQ(first->mds_host(), harness_.HostOf(0));
 
-  sim::Process& probe = harness_.SpawnProcessOn(0, "probe");
-  auto mms = harness_.ClientFor(probe).Resolve(std::string(kMmsName));
-  cluster().RunFor(Duration::Seconds(1));
-  ASSERT_TRUE(mms.is_ready() && mms.result().ok());
-  const uint32_t mms_host = mms.result()->endpoint.host;
-  // The MMS's Sync request to server 3's MDS, then its reply.
-  uint64_t sync_call = 0;
-  bool synced = false;
-  cluster().network().SetTap([&, mms_host, mds_host = home().host()](
-                                 const wire::Endpoint& src,
-                                 const wire::Endpoint& dst,
-                                 const wire::Message& msg) {
-    if (msg.kind == wire::MsgKind::kRequest && src.host == mms_host &&
-        dst.host == mds_host &&
-        msg.type_id == wire::TypeIdFromName(kMdsInterface) &&
-        msg.method_id == kMdsMethodSync) {
-      sync_call = msg.call_id;
-    } else if (msg.kind == wire::MsgKind::kReply && sync_call != 0 &&
-               msg.call_id == sync_call && src.host == mds_host) {
-      synced = true;
-    }
-  });
-  for (int step = 0; step < 250 && !synced; ++step) {
-    cluster().RunFor(Duration::Millis(100));
-  }
-  ASSERT_TRUE(synced);
-  home().Crash();
-  cluster().network().SetTap(nullptr);
+  ASSERT_NO_FATAL_FAILURE(CrashJustAfterMmsSync());
   cluster().RunFor(Duration::Seconds(25));  // Unbound, then one more round.
 
   TestSettop b = BootSettop(1);
@@ -1667,6 +1707,63 @@ TEST_F(MediaHomeCrashSlowSyncTest, MmsStopsOfferingAnMdsTheNameServiceUnbound) {
   EXPECT_TRUE(opened.ok()) << opened;
   EXPECT_TRUE(second->playing());
   EXPECT_EQ(second->mds_host(), harness_.HostOf(0));
+}
+
+TEST_F(MediaHomeCrashSlowSyncTest, ReopenTriesTheQuietReplicaLast) {
+  // A viewer of neighborhood 1, whose CMgr survives, streams "local" from
+  // server 3, the less loaded of its two replicas. Server 3 crashes just
+  // after an MMS round, so the viewer's reopen reaches an MMS that still
+  // lists server 3's MDS and would pick it first. An open there stalls on
+  // the dead server's trunk past the settop's 2 s Open timeout, and the
+  // settop sends it again. The reopen names server 3 as the MDS that went
+  // quiet, so the MMS tries server 1 first: one Open, answered, and the
+  // viewer is dark for little more than its data-gap timeout.
+  std::vector<settop::VodApp*> vods;
+  std::vector<uint32_t> hosts;
+  for (int i = 0; i < 3; ++i) {
+    TestSettop s = BootSettop(1);
+    vods.push_back(StartVod(s));
+    hosts.push_back(s.node->host());
+    vods.back()->PlayMovie("local", [](Status) {});
+    cluster().RunFor(Duration::Seconds(2));
+  }
+  // Equal loads pick server 1, so server 1 streams to the first and third
+  // viewers and server 3 to the second.
+  settop::VodApp* victim = vods[1];
+  ASSERT_EQ(vods[0]->mds_host(), harness_.HostOf(0));
+  ASSERT_EQ(victim->mds_host(), home().host());
+  ASSERT_EQ(vods[2]->mds_host(), harness_.HostOf(0));
+
+  const uint32_t victim_host = hosts[1];
+  size_t opens_sent = 0;
+  ASSERT_NO_FATAL_FAILURE(CrashJustAfterMmsSync());
+  const Time crashed = cluster().Now();
+  cluster().network().SetTap([&](const wire::Endpoint& src,
+                                 const wire::Endpoint&,
+                                 const wire::Message& msg) {
+    if (msg.kind == wire::MsgKind::kRequest && src.host == victim_host &&
+        msg.type_id == wire::TypeIdFromName(kMmsInterface) &&
+        msg.method_id == kMmsMethodOpen) {
+      ++opens_sent;
+    }
+  });
+  const uint64_t reordered = metrics().Get("mms.open_quiet_last");
+  const uint64_t chunks = victim->chunks_received();
+  while (victim->chunks_received() == chunks &&
+         cluster().Now() - crashed < Duration::Seconds(15)) {
+    cluster().RunFor(Duration::Millis(100));
+  }
+  const Duration dark = cluster().Now() - crashed;
+  cluster().network().SetTap(nullptr);
+
+  EXPECT_TRUE(victim->playing());
+  EXPECT_EQ(victim->mds_host(), harness_.HostOf(0));
+  EXPECT_EQ(opens_sent, 1u) << "the settop timed out on its Open and sent it "
+                               "again";
+  EXPECT_LT(dark, settop::VodApp::Options().data_gap_timeout +
+                      Duration::Seconds(1))
+      << "dark " << dark.ToString();
+  EXPECT_EQ(metrics().Get("mms.open_quiet_last"), reordered + 1);
 }
 
 class MediaReorderTest : public MediaTest {

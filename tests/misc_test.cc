@@ -251,7 +251,7 @@ TEST(TrunkAdmissionTest, ServerTrunkCapacityLimitsAcrossSettops) {
   Status last = OkStatus();
   for (int i = 0; i < 4; ++i) {
     sim::Node& settop = harness.AddSettop(1);
-    auto open = mms.Open("T2", settop.host(), wire::ObjectRef{});
+    auto open = mms.Open("T2", settop.host(), wire::ObjectRef{}, 0);
     harness.cluster().RunFor(Duration::Seconds(1));
     ASSERT_TRUE(open.is_ready());
     if (open.result().ok()) {
@@ -290,7 +290,7 @@ TEST(MmsAdmissionTest, CapacityExhaustionIsResourceExhaustedNotNotFound) {
   std::vector<Future<media::MmsTicket>> opens;
   for (int i = 0; i < 3; ++i) {
     sim::Node& settop = harness.AddSettop(1);
-    opens.push_back(mms.Open("tiny", settop.host(), wire::ObjectRef{}));
+    opens.push_back(mms.Open("tiny", settop.host(), wire::ObjectRef{}, 0));
     harness.cluster().RunFor(Duration::Seconds(1));
   }
   harness.cluster().RunFor(Duration::Seconds(3));
@@ -304,7 +304,7 @@ TEST(MmsAdmissionTest, CapacityExhaustionIsResourceExhaustedNotNotFound) {
 
   // And an unknown title is a catalog miss, not capacity.
   sim::Node& settop = harness.AddSettop(1);
-  auto missing = mms.Open("no-such-movie", settop.host(), wire::ObjectRef{});
+  auto missing = mms.Open("no-such-movie", settop.host(), wire::ObjectRef{}, 0);
   harness.cluster().RunFor(Duration::Seconds(2));
   ASSERT_TRUE(missing.is_ready());
   EXPECT_TRUE(IsNotFound(missing.result().status()));

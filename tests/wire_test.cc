@@ -9,6 +9,7 @@
 #include "src/load/load_board.h"
 #include "src/media/broadcast.h"
 #include "src/media/mds.h"
+#include "src/rpc/stub_helpers.h"
 #include "src/wire/message.h"
 #include "src/wire/object_ref.h"
 #include "src/wire/serialize.h"
@@ -349,6 +350,30 @@ TEST(MediaWireTest, BootParamsRoundTripKeepsReplicaOrder) {
   // A truncated reply does not decode.
   b.resize(b.size() - 1);
   EXPECT_FALSE(DecodeValue(b, &out));
+}
+
+TEST(MediaWireTest, MmsOpenArgsCarryTheQuietReplica) {
+  // MMS open arguments: title, settop host, sink, then the host of the MDS
+  // whose stream went quiet. Three-argument requests no longer decode.
+  ObjectRef sink;
+  sink.endpoint = {0x0b010001, 7};
+  sink.object_id = 3;
+  Bytes args = rpc::EncodeArgs(std::string("T2"), uint32_t{0x0b010001}, sink,
+                               uint32_t{0x0a000301});
+  std::string title;
+  uint32_t settop_host = 0;
+  ObjectRef decoded_sink;
+  uint32_t quiet_mds = 0;
+  ASSERT_TRUE(rpc::DecodeArgs(args, &title, &settop_host, &decoded_sink,
+                              &quiet_mds));
+  EXPECT_EQ(title, "T2");
+  EXPECT_EQ(settop_host, 0x0b010001u);
+  EXPECT_EQ(decoded_sink, sink);
+  EXPECT_EQ(quiet_mds, 0x0a000301u);
+
+  Bytes legacy = rpc::EncodeArgs(std::string("T2"), uint32_t{0x0b010001}, sink);
+  EXPECT_FALSE(rpc::DecodeArgs(legacy, &title, &settop_host, &decoded_sink,
+                               &quiet_mds));
 }
 
 TEST(MediaWireTest, MovieTicketRoundTripAndLegacyDecode) {

@@ -28,6 +28,7 @@
 #include "bench/bench_util.h"
 #include "src/common/rand.h"
 #include "src/common/trace.h"
+#include "src/media/cmgr.h"
 #include "src/media/factories.h"
 #include "src/media/mms.h"
 #include "src/naming/name_client.h"
@@ -605,10 +606,13 @@ ReshardBenchResult RunLiveReshard(size_t settop_count) {
 // E1e: the viewers are all of neighborhood 3 and homed on server 3: it heads
 // their neighborhood, holds the name-service replica their lookups start at,
 // runs the neighborhood's CMgr primary and serves some of their streams. A
-// reopen needs the neighborhood's CMgr standby on server 4 to take over.
+// reopen needs the neighborhood's CMgr backup on server 4 to take over; it
+// holds nothing, and rebuilds the allocation table from the trunks of the
+// three surviving servers.
 // Every re-resolve on the way times out at the dead home replica and is
 // answered by the next one in the settop's list, and the MMS's release of
-// the interrupted session's grant waits for the standby.
+// the interrupted session's grant waits for the backup (which reads
+// NOT_FOUND: no surviving trunk held that grant).
 //
 // E1f: the viewers are of neighborhoods 1, 2 and 4, whose CMgrs survive. The
 // MMS learns that server 3's MDS is gone only from its next sync round, so
@@ -629,12 +633,17 @@ struct ServerCrashResult {
   // MMS Opens the interrupted viewers sent that drew no reply within the
   // settop's call timeout.
   uint64_t open_timeouts = 0;
+  // Grants neighborhood 3's promoted CMgr rebuilt, and the grants of that
+  // neighborhood the surviving servers' trunks held at the crash.
+  uint64_t rebuilt = 0;
+  size_t surviving_grants = 0;
   bool ok = false;
 };
 
 ServerCrashResult RunServerCrash(const std::vector<uint8_t>& neighborhoods) {
   constexpr size_t kServers = 4;
   constexpr size_t kCrashIndex = 2;  // Server 3.
+  constexpr uint8_t kCrashNeighborhood = 3;  // Headed by server 3.
 
   svc::HarnessOptions opts;
   opts.server_count = kServers;
@@ -655,6 +664,15 @@ ServerCrashResult RunServerCrash(const std::vector<uint8_t>& neighborhoods) {
   harness.cluster().RunFor(Duration::Seconds(20));
   Viewers viewers = StartViewers(harness, kServerCrashViewers,
                                  deploy.movies.size(), neighborhoods);
+  // The trunks that survive the crash.
+  sim::Process& probe = harness.SpawnProcessOn(0, "trunk-probe");
+  std::vector<Future<wire::ObjectRef>> trunks;
+  for (size_t i = 0; i < kServers; ++i) {
+    if (i != kCrashIndex) {
+      trunks.push_back(
+          harness.ClientFor(probe).Resolve(media::TrunkName(harness.HostOf(i))));
+    }
+  }
   harness.cluster().RunFor(Duration::Seconds(12));
 
   ServerCrashResult out;
@@ -692,20 +710,40 @@ ServerCrashResult RunServerCrash(const std::vector<uint8_t>& neighborhoods) {
     }
   });
 
-  uint64_t failover_base = harness.metrics().Get("naming.resolve_failover");
+  Metrics& metrics = harness.metrics();
+  uint64_t failover_base = metrics.Get("naming.resolve_failover");
+  const uint64_t promoted_base = metrics.Get("cmgr.became_primary");
+  const uint64_t rebuilt_base = metrics.Get("cmgr.grants_rebuilt");
   Time crash_at = cluster.Now();
   harness.server(kCrashIndex).Crash();
+  // The neighborhood's grants on the surviving trunks stay as they are until
+  // its CMgr backup takes over: no release or allocate reaches a dead CMgr.
+  std::vector<Future<std::vector<media::ConnectionGrant>>> held;
+  for (const Future<wire::ObjectRef>& trunk : trunks) {
+    ITV_CHECK(trunk.is_ready() && trunk.result().ok());
+    held.push_back(media::TrunkProxy(probe.runtime(), trunk.result().value())
+                       .ListGrants(kCrashNeighborhood));
+  }
   cluster.RunFor(Duration::Seconds(1));
+  for (const auto& grants : held) {
+    ITV_CHECK(grants.is_ready() && grants.result().ok());
+    out.surviving_grants += grants.result()->size();
+  }
   for (size_t i : dark) {
     chunk_base.push_back(viewers.vods[i]->chunks_received());
   }
 
   bool restored = false;
+  bool promoted = false;
   std::vector<double> resumed_at(dark.size(), -1.0);
   std::vector<double> failed_at(dark.size(), -1.0);
   while (cluster.Now() - crash_at < Duration::Seconds(120)) {
     cluster.RunFor(Duration::Millis(100));
     double elapsed = (cluster.Now() - crash_at).seconds();
+    if (!promoted && metrics.Get("cmgr.became_primary") > promoted_base) {
+      promoted = true;
+      out.rebuilt = metrics.Get("cmgr.grants_rebuilt") - rebuilt_base;
+    }
     if (!restored && elapsed >= kServerCrashRestoreS) {
       harness.server(kCrashIndex).Restart();
       harness.StartSsc(kCrashIndex);
@@ -730,7 +768,7 @@ ServerCrashResult RunServerCrash(const std::vector<uint8_t>& neighborhoods) {
       }
       waiting += resumed_at[d] < 0 ? 1 : 0;
     }
-    if (waiting == 0) {
+    if (waiting == 0 && promoted) {
       break;
     }
   }
@@ -746,10 +784,12 @@ ServerCrashResult RunServerCrash(const std::vector<uint8_t>& neighborhoods) {
       out.dark_s.Record(at);
     }
   }
-  out.failovers =
-      harness.metrics().Get("naming.resolve_failover") - failover_base;
+  out.failovers = metrics.Get("naming.resolve_failover") - failover_base;
   out.ok = out.interrupted > 0 && out.resumed == out.interrupted &&
            out.dark_s.Max() < kServerCrashRestoreS;
+  ITV_CHECK(promoted && out.rebuilt == out.surviving_grants)
+      << "the promoted CMgr rebuilt " << out.rebuilt << " grants, the "
+      << "surviving trunks held " << out.surviving_grants;
   return out;
 }
 
@@ -922,11 +962,13 @@ int main() {
       "lookups passed to the next replica in a\nsettop's list "
       "(naming.resolve_failover); retries counts plays pressed again after "
       "a\nfailed reopen; open_timeouts counts the MMS Opens those viewers "
-      "sent that drew\nno reply within the settop's call timeout.\n\n",
+      "sent that drew\nno reply within the settop's call timeout; rebuilt "
+      "counts the grants neighborhood\n3's promoted CMgr read from the "
+      "surviving trunks (checked equal to what they\nheld at the crash).\n\n",
       kServerCrashViewers, kServerCrashRestoreS);
   bench::PrintRow({"viewers", "interrupted", "resumed", "dark_p50_s",
                    "dark_max_s", "restore_s", "retries", "failovers",
-                   "open_timeouts", "verdict"});
+                   "open_timeouts", "rebuilt", "verdict"});
   ServerCrashResult hc = RunServerCrash({3});
   bench::PrintRow({bench::FmtInt(kServerCrashViewers),
                    bench::FmtInt(hc.interrupted), bench::FmtInt(hc.resumed),
@@ -934,7 +976,8 @@ int main() {
                    bench::Fmt("%.1f", hc.dark_s.Max()),
                    bench::Fmt("%.0f", kServerCrashRestoreS),
                    bench::FmtInt(hc.retries), bench::FmtInt(hc.failovers),
-                   bench::FmtInt(hc.open_timeouts), hc.ok ? "pass" : "FAIL"});
+                   bench::FmtInt(hc.open_timeouts), bench::FmtInt(hc.rebuilt),
+                   hc.ok ? "pass" : "FAIL"});
   report.SetInt("home_crash_interrupted", hc.interrupted);
   report.SetInt("home_crash_resumed", hc.resumed);
   report.SetInt("home_crash_retries", hc.retries);
@@ -942,6 +985,7 @@ int main() {
   report.Set("home_crash_dark_max_s", hc.dark_s.Max());
   report.SetInt("home_crash_resolve_failovers", hc.failovers);
   report.SetInt("home_crash_open_timeouts", hc.open_timeouts);
+  report.SetInt("home_crash_cmgr_rebuilt", hc.rebuilt);
   report.SetText("home_crash_verdict", hc.ok ? "pass" : "fail");
   std::printf(
       "\nexpect: every interrupted viewer resumes before the restore, on the "
@@ -960,7 +1004,7 @@ int main() {
       kServerCrashViewers, kServerCrashRestoreS);
   bench::PrintRow({"viewers", "interrupted", "resumed", "dark_p50_s",
                    "dark_max_s", "restore_s", "retries", "failovers",
-                   "open_timeouts", "verdict"});
+                   "open_timeouts", "rebuilt", "verdict"});
   ServerCrashResult oc = RunServerCrash({1, 2, 4});
   bench::PrintRow({bench::FmtInt(kServerCrashViewers),
                    bench::FmtInt(oc.interrupted), bench::FmtInt(oc.resumed),
@@ -968,13 +1012,15 @@ int main() {
                    bench::Fmt("%.1f", oc.dark_s.Max()),
                    bench::Fmt("%.0f", kServerCrashRestoreS),
                    bench::FmtInt(oc.retries), bench::FmtInt(oc.failovers),
-                   bench::FmtInt(oc.open_timeouts), oc.ok ? "pass" : "FAIL"});
+                   bench::FmtInt(oc.open_timeouts), bench::FmtInt(oc.rebuilt),
+                   oc.ok ? "pass" : "FAIL"});
   report.SetInt("other_crash_interrupted", oc.interrupted);
   report.SetInt("other_crash_resumed", oc.resumed);
   report.SetInt("other_crash_retries", oc.retries);
   report.Set("other_crash_dark_p50_s", oc.dark_s.Percentile(50));
   report.Set("other_crash_dark_max_s", oc.dark_s.Max());
   report.SetInt("other_crash_open_timeouts", oc.open_timeouts);
+  report.SetInt("other_crash_cmgr_rebuilt", oc.rebuilt);
   report.SetText("other_crash_verdict", oc.ok ? "pass" : "fail");
   std::printf(
       "\nexpect: every interrupted viewer resumes one data-gap timeout after "

@@ -1,6 +1,6 @@
 #include "src/media/cmgr.h"
 
-#include <algorithm>
+#include <memory>
 #include <utility>
 
 #include "src/common/address.h"
@@ -115,11 +115,11 @@ void TrunkService::Reclaim(const ConnectionGrant& grant) {
   ITV_LOG(Info) << "trunk " << runtime_.local_endpoint().host
                 << ": reclaiming orphaned connection " << grant.connection_id
                 << " (settop " << grant.settop_host << ")";
-  // The CMgr drops the grant, pushes the drop to its standbys and releases
-  // it here. Its NOT_FOUND means it never committed the grant (it died
-  // between Reserve and its commit), so only this trunk held it. Any other
-  // error, including a lookup of the CMgr's name that finds no primary
-  // mid-fail-over: try again on the next audit.
+  // The CMgr drops the grant and releases it here. Its NOT_FOUND means it
+  // never committed the grant (it died between Reserve and its commit), so
+  // only this trunk held it. Any other error, including a lookup of the
+  // CMgr's name that finds no primary mid-fail-over: try again on the next
+  // audit.
   uint64_t connection_id = grant.connection_id;
   bindings_.Bind<CmgrProxy>(CmgrName(NeighborhoodOfHost(grant.settop_host)))
       .Call<void>(
@@ -184,6 +184,19 @@ void TrunkService::Dispatch(uint32_t method_id, const wire::Bytes& args,
     }
     case kTrunkMethodUsage:
       return rpc::ReplyWith(reply, TrunkUsage{capacity_bps_, reserved_bps_});
+    case kTrunkMethodListGrants: {
+      uint8_t neighborhood = 0;
+      if (!rpc::DecodeArgs(args, &neighborhood)) {
+        return rpc::ReplyBadArgs(reply);
+      }
+      std::vector<ConnectionGrant> out;
+      for (const auto& [id, reservation] : reservations_) {
+        if (NeighborhoodOfHost(reservation.grant.settop_host) == neighborhood) {
+          out.push_back(reservation.grant);
+        }
+      }
+      return rpc::ReplyWith(reply, out);
+    }
     default:
       return rpc::ReplyBadMethod(reply, method_id);
   }
@@ -204,24 +217,68 @@ CmgrService::CmgrService(rpc::ObjectRuntime& runtime, Executor& executor,
       next_connection_id_(runtime.incarnation() << 20),
       bindings_(runtime, name_client_.PathResolverFn()) {}
 
-void CmgrService::Start() {
-  ref_ = runtime_.Export(this);
-  RefreshStandbys();
-  standby_refresh_timer_.Start(executor_, Duration::Seconds(10),
-                               [this] { RefreshStandbys(); });
+void CmgrService::Start() { ref_ = runtime_.Export(this); }
+
+void CmgrService::RecoverState(std::function<void(Status)> done) {
+  name_client_.List(std::string(kTrunkContext))
+      .OnReady([this, done](const Result<naming::BindingList>& r) {
+        if (!r.ok() && !IsNotFound(r.status())) {
+          return done(r.status());
+        }
+        std::vector<wire::ObjectRef> trunks;
+        if (r.ok()) {
+          for (const naming::Binding& b : *r) {
+            if (b.kind == naming::BindingKind::kObject) {
+              trunks.push_back(b.ref);
+            }
+          }
+        }
+        auto rebuilt = std::make_shared<std::map<uint64_t, Connection>>();
+        auto pending = std::make_shared<size_t>(trunks.size() + 1);
+        auto finish = [this, done, rebuilt, pending] {
+          if (--*pending > 0) {
+            return;
+          }
+          // A completion that finds this replica already primary belongs to
+          // an older tenure's recovery: a newer one has rebuilt the table.
+          if (!is_primary()) {
+            connections_ = std::move(*rebuilt);
+          }
+          done(OkStatus());
+        };
+        for (const wire::ObjectRef& trunk : trunks) {
+          rpc::CallOptions opts;
+          opts.timeout = kRpcTimeout;
+          TrunkProxy(runtime_, trunk)
+              .ListGrants(neighborhood_, opts)
+              .OnReady([this, rebuilt, finish](
+                           const Result<std::vector<ConnectionGrant>>& grants) {
+                if (grants.ok()) {
+                  for (const ConnectionGrant& grant : *grants) {
+                    (*rebuilt)[grant.connection_id] = {grant, executor_.Now()};
+                  }
+                }
+                finish();
+              });
+        }
+        finish();
+      });
 }
 
 void CmgrService::OnPromoted() {
   ITV_LOG(Info) << "cmgr nb " << int{neighborhood_} << ": primary with "
-                << connections_.size() << " replicated connections";
+                << connections_.size() << " rebuilt connections";
   Count("cmgr.became_primary");
+  if (metrics_ != nullptr) {
+    metrics_->Add("cmgr.grants_rebuilt", connections_.size());
+  }
 }
 
 int64_t CmgrService::SettopReservedBps(uint32_t settop_host) const {
   int64_t total = 0;
-  for (const auto& [id, grant] : connections_) {
-    if (grant.settop_host == settop_host) {
-      total += grant.downstream_bps;
+  for (const auto& [id, c] : connections_) {
+    if (c.grant.settop_host == settop_host) {
+      total += c.grant.downstream_bps;
     }
   }
   return total;
@@ -229,10 +286,15 @@ int64_t CmgrService::SettopReservedBps(uint32_t settop_host) const {
 
 uint32_t CmgrService::SettopConnectionCount(uint32_t settop_host) const {
   uint32_t count = 0;
-  for (const auto& [id, grant] : connections_) {
-    count += grant.settop_host == settop_host;
+  for (const auto& [id, c] : connections_) {
+    count += c.grant.settop_host == settop_host;
   }
   return count;
+}
+
+double CmgrService::MegabitSeconds(const Connection& c) const {
+  return static_cast<double>(c.grant.downstream_bps) / 1e6 *
+         (executor_.Now() - c.granted_at).seconds();
 }
 
 AccountingRecord CmgrService::AccountingFor(uint32_t settop_host) const {
@@ -244,14 +306,9 @@ AccountingRecord CmgrService::AccountingFor(uint32_t settop_host) const {
   record.settop_host = settop_host;
   record.current_connections = SettopConnectionCount(settop_host);
   // Charge still-open connections up to now.
-  for (const auto& [id, grant] : connections_) {
-    if (grant.settop_host != settop_host) {
-      continue;
-    }
-    auto granted = granted_at_.find(id);
-    if (granted != granted_at_.end()) {
-      record.megabit_seconds += static_cast<double>(grant.downstream_bps) / 1e6 *
-                                (executor_.Now() - granted->second).seconds();
+  for (const auto& [id, c] : connections_) {
+    if (c.grant.settop_host == settop_host) {
+      record.megabit_seconds += MegabitSeconds(c);
     }
   }
   return record;
@@ -289,7 +346,7 @@ void CmgrService::HandleAllocate(uint32_t settop_host, uint32_t server_host,
   grant.server_host = server_host;
   grant.downstream_bps = granted;
 
-  // Reserve on the server trunk, then commit locally and on standbys.
+  // Reserve on the server trunk, then commit.
   bindings_.Bind<TrunkProxy>(TrunkName(server_host))
       .Call<void>(
           [grant](const TrunkProxy& trunk) {
@@ -299,8 +356,8 @@ void CmgrService::HandleAllocate(uint32_t settop_host, uint32_t server_host,
             if (!r.ok()) {
               return rpc::ReplyError(reply, r.status());
             }
-            ApplyLocal(1, grant);
-            PushToStandbys(1, grant);
+            connections_[grant.connection_id] = {grant, executor_.Now()};
+            ++accounting_[grant.settop_host].allocations;
             Count("cmgr.allocated");
             rpc::ReplyWith(reply, grant);
           });
@@ -311,13 +368,13 @@ void CmgrService::HandleRelease(uint64_t connection_id, rpc::ReplyFn reply) {
   if (it == connections_.end()) {
     return rpc::ReplyError(reply, NotFoundError("unknown connection"));
   }
-  ConnectionGrant grant = it->second;
-  ApplyLocal(2, grant);
-  PushToStandbys(2, grant);
+  ConnectionGrant grant = it->second.grant;
+  AccountingRecord& record = accounting_[grant.settop_host];
+  record.megabit_seconds += MegabitSeconds(it->second);
+  ++record.releases;
+  connections_.erase(it);
   Count("cmgr.released");
 
-  // Always bind: a promoted standby inherited grants whose trunk it has
-  // never called.
   bindings_.Bind<TrunkProxy>(TrunkName(grant.server_host))
       .Call<void>(
           [connection_id](const TrunkProxy& proxy) {
@@ -325,86 +382,6 @@ void CmgrService::HandleRelease(uint64_t connection_id, rpc::ReplyFn reply) {
           },
           [](Result<void>) {});
   rpc::ReplyOk(reply);
-}
-
-void CmgrService::ApplyLocal(uint8_t op, const ConnectionGrant& grant) {
-  if (op == 1) {
-    connections_[grant.connection_id] = grant;
-    granted_at_[grant.connection_id] = executor_.Now();
-    ++accounting_[grant.settop_host].allocations;
-  } else {
-    auto granted = granted_at_.find(grant.connection_id);
-    if (granted != granted_at_.end()) {
-      AccountingRecord& record = accounting_[grant.settop_host];
-      record.megabit_seconds += static_cast<double>(grant.downstream_bps) / 1e6 *
-                                (executor_.Now() - granted->second).seconds();
-      ++record.releases;
-      granted_at_.erase(granted);
-    }
-    connections_.erase(grant.connection_id);
-  }
-}
-
-void CmgrService::RefreshStandbys() {
-  name_client_
-      .ListRepl(CmgrStandbyContext(neighborhood_))
-      .OnReady([this](const Result<naming::BindingList>& r) {
-        if (!r.ok()) {
-          return;
-        }
-        std::vector<wire::ObjectRef> fresh;
-        for (const naming::Binding& b : *r) {
-          if (b.kind == naming::BindingKind::kObject && b.ref != ref_) {
-            fresh.push_back(b.ref);
-          }
-        }
-        // Full-sync standbys we have not pushed to before.
-        for (const wire::ObjectRef& standby : fresh) {
-          bool known = false;
-          for (const wire::ObjectRef& old : standbys_) {
-            known |= old == standby;
-          }
-          if (!known) {
-            for (const auto& [id, grant] : connections_) {
-              Push(standby, 1, grant);
-            }
-          }
-        }
-        // Drops a standby still listed has not acknowledged go again; a
-        // standby no longer listed died, and its restart is full-synced.
-        std::erase_if(unacked_drops_, [&fresh](const auto& entry) {
-          return std::find(fresh.begin(), fresh.end(), entry.first.first) ==
-                 fresh.end();
-        });
-        for (const auto& [key, grant] : unacked_drops_) {
-          Push(key.first, 2, grant);
-        }
-        standbys_ = std::move(fresh);
-      });
-}
-
-void CmgrService::PushToStandbys(uint8_t op, const ConnectionGrant& grant) {
-  for (const wire::ObjectRef& standby : standbys_) {
-    Push(standby, op, grant);
-  }
-}
-
-void CmgrService::Push(const wire::ObjectRef& standby, uint8_t op,
-                       const ConnectionGrant& grant) {
-  Count("cmgr.state_push");
-  CmgrProxy(runtime_, standby)
-      .ApplyReplica(op, grant)
-      .OnReady([this, standby, op, grant](const Result<void>& r) {
-        if (op != 2) {
-          return;
-        }
-        std::pair<wire::ObjectRef, uint64_t> key{standby, grant.connection_id};
-        if (r.ok()) {
-          unacked_drops_.erase(key);
-        } else {
-          unacked_drops_[key] = grant;
-        }
-      });
 }
 
 void CmgrService::Dispatch(uint32_t method_id, const wire::Bytes& args,
@@ -437,37 +414,18 @@ void CmgrService::Dispatch(uint32_t method_id, const wire::Bytes& args,
       return HandleRelease(connection_id, std::move(reply));
     }
     case kCmgrMethodListConnections: {
+      // A backup's table is whatever its last tenure left: only the primary
+      // answers, so a restarted trunk relists from a rebuilt table.
+      if (!is_primary()) {
+        return rpc::ReplyError(
+            reply, UnavailableError("not the primary connection manager"));
+      }
       std::vector<ConnectionGrant> out;
       out.reserve(connections_.size());
-      for (const auto& [id, grant] : connections_) {
-        out.push_back(grant);
+      for (const auto& [id, c] : connections_) {
+        out.push_back(c.grant);
       }
       return rpc::ReplyWith(reply, out);
-    }
-    case kCmgrMethodApplyReplica: {
-      uint8_t op = 0;
-      ConnectionGrant grant;
-      if (!rpc::DecodeArgs(args, &op, &grant)) {
-        return rpc::ReplyBadArgs(reply);
-      }
-      if (op == 1 && is_primary() &&
-          connections_.count(grant.connection_id) == 0) {
-        // A standby full-syncs every replica it has not pushed to before,
-        // and a primary restarted with an empty table is one. By now the
-        // grant's trunk may have relisted without it, or dropped it while
-        // this primary did not know it. Reserved again (idempotent), it is
-        // under the trunk's grant audit, which releases it through this
-        // primary unless an MDS session claims it.
-        Count("cmgr.pushed_grant_reserved");
-        bindings_.Bind<TrunkProxy>(TrunkName(grant.server_host))
-            .Call<void>(
-                [grant](const TrunkProxy& trunk) {
-                  return trunk.Reserve(grant);
-                },
-                [](Result<void>) {});
-      }
-      ApplyLocal(op, grant);
-      return rpc::ReplyOk(reply);
     }
     case kCmgrMethodAccounting: {
       uint32_t settop_host = 0;

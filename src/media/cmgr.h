@@ -8,21 +8,21 @@
 // Replication (paper Section 5.2): "The Connection Manager actually uses both
 // forms of replication. It has active replicas for each neighborhood and each
 // server, and the neighborhood replicas are backed up by passive replicas."
-// The connection manager is one of the two services in the system that keep
-// replicated state (Section 10.1.1): the neighborhood primary pushes every
-// allocate/release to its standby replicas, so a promoted backup carries the
-// allocation table forward. The per-server trunk replica audits the grants
-// reserved on its server against that server's MDS and reclaims the ones no
-// session claims, so the audit costs one host-local call per server however
-// many neighborhoods there are.
+// The passive backups hold nothing. Each trunk replica keeps the whole grant
+// of every reservation on its server, so a replica that wins its
+// neighborhood's binding rebuilds the allocation table from the live trunks
+// before it serves (Section 10.1: volatile state is rebuilt by querying). The
+// per-server trunk replica audits the grants reserved on its server against
+// that server's MDS and reclaims the ones no session claims, so the audit
+// costs one host-local call per server however many neighborhoods there are.
 
 #ifndef SRC_MEDIA_CMGR_H_
 #define SRC_MEDIA_CMGR_H_
 
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "src/common/executor.h"
@@ -39,25 +39,21 @@ inline constexpr std::string_view kTrunkInterface = "itv.TrunkManager";
 
 // Name-space layout:
 //   svc/cmgr/<neighborhood>      primary binding of the neighborhood replica
-//   svc/cmgrbk/<nb>/<host>       every replica (incl. backups) registers here
-//                                so the primary can find standbys to push to
 //   svc/cmgrtrunk/<host>         the per-server trunk replica
+inline constexpr std::string_view kTrunkContext = "svc/cmgrtrunk";
 inline std::string CmgrName(uint8_t neighborhood) {
   return "svc/cmgr/" + std::to_string(neighborhood);
 }
-inline std::string CmgrStandbyContext(uint8_t neighborhood) {
-  return "svc/cmgrbk/" + std::to_string(neighborhood);
-}
 inline std::string TrunkName(uint32_t server_host) {
-  return "svc/cmgrtrunk/" + std::to_string(server_host);
+  return std::string(kTrunkContext) + "/" + std::to_string(server_host);
 }
 
 enum CmgrMethod : uint32_t {
   kCmgrMethodAllocate = 1,
   kCmgrMethodRelease = 2,
   kCmgrMethodListConnections = 3,
-  kCmgrMethodApplyReplica = 4,   // Primary -> standby state push.
-  // Id 5 (the retired per-settop usage read) stays unassigned.
+  // Ids 4 (the retired standby state push) and 5 (the retired per-settop
+  // usage read) stay unassigned.
   kCmgrMethodAccounting = 6,
 };
 
@@ -97,6 +93,7 @@ enum TrunkMethod : uint32_t {
   kTrunkMethodReserve = 1,
   kTrunkMethodRelease = 2,
   kTrunkMethodUsage = 3,
+  kTrunkMethodListGrants = 4,
 };
 
 struct TrunkUsage {
@@ -135,10 +132,6 @@ class CmgrProxy : public rpc::Proxy {
     return rpc::DecodeReply<std::vector<ConnectionGrant>>(
         Call(kCmgrMethodListConnections, {}));
   }
-  Future<void> ApplyReplica(uint8_t op, const ConnectionGrant& grant) const {
-    return rpc::DecodeEmptyReply(
-        Call(kCmgrMethodApplyReplica, rpc::EncodeArgs(op, grant)));
-  }
   Future<AccountingRecord> Accounting(uint32_t settop_host) const {
     return rpc::DecodeReply<AccountingRecord>(
         Call(kCmgrMethodAccounting, rpc::EncodeArgs(settop_host)));
@@ -160,6 +153,12 @@ class TrunkProxy : public rpc::Proxy {
   }
   Future<TrunkUsage> Usage() const {
     return rpc::DecodeReply<TrunkUsage>(Call(kTrunkMethodUsage, {}));
+  }
+  // The grants reserved here whose settop is in `neighborhood`.
+  Future<std::vector<ConnectionGrant>> ListGrants(
+      uint8_t neighborhood, const rpc::CallOptions& options = {}) const {
+    return rpc::DecodeReply<std::vector<ConnectionGrant>>(Call(
+        kTrunkMethodListGrants, rpc::EncodeArgs(neighborhood), options));
   }
 };
 
@@ -223,7 +222,7 @@ class TrunkService : public rpc::Skeleton {
   PeriodicTimer audit_timer_;
 };
 
-// --- Neighborhood replica (primary/backup with state push) -------------------------
+// --- Neighborhood replica (primary/backup, rebuilt on promotion) ------------------
 
 class CmgrService : public rpc::Skeleton {
  public:
@@ -231,14 +230,18 @@ class CmgrService : public rpc::Skeleton {
               naming::NameClient name_client, uint8_t neighborhood,
               Metrics* metrics = nullptr);
 
-  // Exports the object and starts the standby-refresh loop.
-  // Election (both the always-won standby registration and the contested
-  // neighborhood primary binding) is owned by the launcher's
-  // ServiceLifecycles, which drive the hooks below.
+  // Exports the object. The election for the neighborhood's primary binding
+  // is owned by the launcher's ServiceLifecycle, which drives the hooks
+  // below.
   void Start();
 
-  // Promotion hook: the allocation table was kept hot by the primary's state
-  // pushes, so there is nothing to recover — just log and count.
+  // Recovery hook, run on winning the binding: replaces the allocation
+  // table with the grants the live trunk replicas hold for this
+  // neighborhood. A trunk that does not answer within the call timeout is
+  // skipped: its server's streams died with it, or, if it is only cut off,
+  // its own audit releases the grants this table lacks (NOT_FOUND, then it
+  // drops them). Rebuilt grants are charged from takeover.
+  void RecoverState(std::function<void(Status)> done);
   void OnPromoted();
   void AttachLifecycle(const svc::ServiceLifecycle* lifecycle) {
     lifecycle_ = lifecycle;
@@ -257,21 +260,17 @@ class CmgrService : public rpc::Skeleton {
                 const rpc::CallContext& ctx, rpc::ReplyFn reply) override;
 
  private:
+  // A grant and when it was charged from: its commit, or the takeover of
+  // the replica that rebuilt it.
+  struct Connection {
+    ConnectionGrant grant;
+    Time granted_at;
+  };
+
+  double MegabitSeconds(const Connection& c) const;
   void HandleAllocate(uint32_t settop_host, uint32_t server_host, int64_t bps,
                       bool allow_partial, rpc::ReplyFn reply);
   void HandleRelease(uint64_t connection_id, rpc::ReplyFn reply);
-  void ApplyLocal(uint8_t op, const ConnectionGrant& grant);
-  void PushToStandbys(uint8_t op, const ConnectionGrant& grant);
-  // One state push. A drop (op 2) the standby does not acknowledge is kept
-  // in unacked_drops_ and pushed again on each refresh while the standby is
-  // listed: a lost drop would leave the grant in the standby's table, and a
-  // promotion would hand it to a primary whose trunk holds no reservation
-  // for it, where no audit sees it.
-  void Push(const wire::ObjectRef& standby, uint8_t op,
-            const ConnectionGrant& grant);
-  // Re-discovers standby replicas; newly seen standbys receive a full copy
-  // of the allocation table so late joiners converge.
-  void RefreshStandbys();
   void Count(std::string_view name);
 
   rpc::ObjectRuntime& runtime_;
@@ -284,20 +283,12 @@ class CmgrService : public rpc::Skeleton {
   const svc::ServiceLifecycle* lifecycle_ = nullptr;
 
   uint64_t next_connection_id_;
-  std::map<uint64_t, ConnectionGrant> connections_;
-  // Accounting state: when each connection was granted, and per-settop
-  // lifetime tallies (kept only on the replica that processed the ops; a
-  // promoted standby restarts charging from takeover — noted in DESIGN.md).
-  std::map<uint64_t, Time> granted_at_;
+  std::map<uint64_t, Connection> connections_;
+  // Per-settop lifetime tallies, kept only on the replica that processed the
+  // ops (a promoted replica starts them afresh — noted in DESIGN.md).
   std::map<uint32_t, AccountingRecord> accounting_;
   // Named bindings (per-server trunk replicas), shared resolve/rebind state.
   rpc::BindingTable bindings_;
-  // Standby replica refs (refreshed periodically).
-  std::vector<wire::ObjectRef> standbys_;
-  // Drops not yet acknowledged, by (standby, connection id).
-  std::map<std::pair<wire::ObjectRef, uint64_t>, ConnectionGrant>
-      unacked_drops_;
-  PeriodicTimer standby_refresh_timer_;
 };
 
 }  // namespace itv::media

@@ -111,21 +111,15 @@ void RegisterMediaServices(svc::ClusterHarness& harness,
               ctx.process.runtime(), ctx.process.executor(),
               ctx.MakeNameClient(), nb, ctx.metrics);
           cmgr->Start();
-          // Every replica registers under the standby context — a
-          // single-claimant binding the replica always wins — so the primary
-          // can find push targets...
-          PublishService(ctx,
-                         CmgrStandbyContext(nb) + "/" +
-                             std::to_string(ctx.process.host()),
-                         cmgr->ref());
-          // ...and contests the neighborhood's primary binding. That
-          // publish already announced the ref to the SSC. No recover hook:
-          // the primary's state pushes keep every standby's allocation table
-          // hot (Section 10.1.1).
+          // Backups hold nothing: promotion's recover hook rebuilds the
+          // allocation table from the trunk replicas.
           svc::ServiceLifecycle::Hooks hooks;
+          hooks.recover = [cmgr](std::function<void(Status)> done) {
+            cmgr->RecoverState(std::move(done));
+          };
           hooks.on_promoted = [cmgr] { cmgr->OnPromoted(); };
           cmgr->AttachLifecycle(
-              ctx.StartLifecycle(CmgrName(nb), cmgr->ref(), std::move(hooks)));
+              PublishService(ctx, CmgrName(nb), cmgr->ref(), std::move(hooks)));
         });
   }
 
@@ -261,7 +255,7 @@ void RegisterMediaServices(svc::ClusterHarness& harness,
     uint32_t home = harness.ServerHostForNeighborhood(nb);
     size_t home_index = ServerIndexOf(harness, home);
     harness.AssignService("rdsd-" + std::to_string(nb), home);
-    // Primary candidate on the neighborhood's server, standby on the next.
+    // Primary candidate on the neighborhood's server, backup on the next.
     harness.AssignService("cmgrd-" + std::to_string(nb), home);
     if (servers > 1) {
       harness.AssignService("cmgrd-" + std::to_string(nb),

@@ -7,8 +7,10 @@
 //   rdsd-<nb>     per-neighborhood replica assigned to that neighborhood's
 //                 server, published under svc/rds/<nb>
 //   cmgrd-<nb>    per-neighborhood Connection Manager: one primary + one
-//                 hot standby on the next server, bound at svc/cmgr/<nb>
-//                 (never sharded: the neighborhood is its partition)
+//                 backup on the next server, bound at svc/cmgr/<nb> (never
+//                 sharded: the neighborhood is its partition); the backup
+//                 holds nothing and rebuilds the allocation table from the
+//                 trunk replicas when it is promoted
 //   trunkd        per-server trunk capacity replica; audits the grants
 //                 reserved on its server against that server's MDS
 //   mmsd          primary/backup on the first mms_replicas servers, one

@@ -14,6 +14,9 @@ namespace {
 constexpr Duration kLoadReportInterval = Duration::Seconds(2);
 // Back-off before re-contesting the binding after a failed recovery.
 constexpr Duration kRecoverRetry = Duration::Seconds(2);
+// Back-off before announcing the ready objects again to an SSC that did not
+// acknowledge them.
+constexpr Duration kAnnounceRetry = Duration::Seconds(2);
 // Poll cadence of the external_role probe.
 constexpr Duration kProbeInterval = Duration::Seconds(1);
 
@@ -71,11 +74,7 @@ void ServiceLifecycle::Start(Hooks hooks) {
   SetRole(ServiceRole::kStarting);
   Count("svc.role.start");
   if (!hooks_.ready_objects.empty()) {
-    // Announce before binding: the naming audit treats a bound object its
-    // SSC never heard of as dead and removes the binding.
-    SscProxy ssc(process_.runtime(), SscRefAt(process_.host()));
-    ssc.NotifyReady(process_.pid(), hooks_.ready_objects)
-        .OnReady([](const Result<void>&) {});
+    AnnounceReady();
   }
   if (hooks_.external_role) {
     SetRole(ServiceRole::kBackup);
@@ -85,6 +84,25 @@ void ServiceLifecycle::Start(Hooks hooks) {
     return;
   }
   EnsureContexts();
+}
+
+void ServiceLifecycle::AnnounceReady() {
+  // Announce before binding: the naming audit treats a bound object its SSC
+  // never heard of as dead and removes the binding, every audit, however
+  // often the binder re-asserts it. So an announcement the SSC did not
+  // acknowledge goes again.
+  SscProxy ssc(process_.runtime(), SscRefAt(process_.host()));
+  ssc.NotifyReady(process_.pid(), hooks_.ready_objects)
+      .OnReady([this](const Result<void>& r) {
+        if (r.ok()) {
+          return;
+        }
+        executor().ScheduleAfter(kAnnounceRetry, [this] {
+          if (role_ != ServiceRole::kStopped) {
+            AnnounceReady();
+          }
+        });
+      });
 }
 
 void ServiceLifecycle::Stop() {

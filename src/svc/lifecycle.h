@@ -129,6 +129,7 @@ class ServiceLifecycle {
  private:
   Executor& executor() { return process_.executor(); }
 
+  void AnnounceReady();
   void EnsureContexts();
   void BeginElection();
   void RestartElection();

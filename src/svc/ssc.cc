@@ -1,5 +1,6 @@
 #include "src/svc/ssc.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -115,7 +116,12 @@ void SscService::HandleNotifyReady(uint64_t pid,
   FireReady(objects);
   bool first_registration = objects_by_pid_.find(pid) == objects_by_pid_.end();
   auto& list = objects_by_pid_[pid];
-  list.insert(list.end(), objects.begin(), objects.end());
+  for (const wire::ObjectRef& object : objects) {
+    // A lifecycle sends its announcement again when the reply is lost.
+    if (std::find(list.begin(), list.end(), object) == list.end()) {
+      list.push_back(object);
+    }
+  }
 
   if (!first_registration) {
     return;

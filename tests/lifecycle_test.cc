@@ -1,15 +1,18 @@
 // ServiceLifecycle role state machine tests: promotion, demotion and
 // re-promotion through the name-space election; failed recovery stepping
-// back out of the election; and stop-during-recovery never promoting (the
-// epoch guard).
+// back out of the election; a lost ready announcement sent again; and
+// stop-during-recovery never promoting (the epoch guard).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <vector>
 
 #include "src/svc/harness.h"
 #include "src/svc/lifecycle.h"
 #include "src/svc/settop_manager.h"
+#include "src/svc/ssc.h"
 
 namespace itv::svc {
 namespace {
@@ -146,6 +149,47 @@ TEST_F(LifecycleTest, RecoverFailureReleasesBindingAndRetries) {
   EXPECT_EQ(a.lifecycle->recover_failures(), 2u);
   EXPECT_EQ(a.lifecycle->promotions(), 1u);
   EXPECT_GE(metrics().Get("svc.role.recover_fail[svc/tgt]"), 2u);
+  auto resolved = ResolveTarget();
+  ASSERT_TRUE(resolved.ok()) << resolved.status();
+  EXPECT_EQ(*resolved, a.ref);
+}
+
+TEST_F(LifecycleTest, LostReadyAnnouncementIsSentAgain) {
+  // The replica's first notifyReady to its SSC is dropped. Unacknowledged,
+  // it goes again, so the SSC lists the object and the naming audit, which
+  // removes a binding whose SSC never heard of the object, keeps the
+  // binding.
+  const uint64_t ssc_type = wire::TypeIdFromName(kSscInterface);
+  bool dropped = false, clear_next = false;
+  sim::Network& net = cluster().network();
+  net.SetTap([&](const wire::Endpoint&, const wire::Endpoint&,
+                 const wire::Message& msg) {
+    if (clear_next) {
+      net.ClearFaultInjection();
+      clear_next = false;
+    }
+    if (!dropped && msg.kind == wire::MsgKind::kRequest &&
+        msg.type_id == ssc_type && msg.method_id == kSscMethodNotifyReady) {
+      sim::NetworkFaultOptions drop;
+      drop.drop_rate = 1.0;
+      net.SetFaultInjection(drop);
+      dropped = clear_next = true;
+    }
+  });
+  Replica a = Spawn(1, "tgt-a");
+  cluster().RunFor(Duration::Seconds(1));
+  net.SetTap(nullptr);
+  ASSERT_TRUE(dropped);
+
+  cluster().RunFor(Duration::Seconds(30));  // Past two naming audits.
+  auto objects = SscProxy(probe_->runtime(), SscRefAt(a.ref.endpoint.host))
+                     .ListObjects();
+  cluster().RunFor(Duration::Seconds(1));
+  ASSERT_TRUE(objects.is_ready() && objects.result().ok());
+  const std::vector<wire::ObjectRef>& listed = *objects.result();
+  EXPECT_EQ(std::count(listed.begin(), listed.end(), a.ref), 1);
+  EXPECT_TRUE(a.lifecycle->is_primary());
+  EXPECT_EQ(a.lifecycle->promotions(), 1u);
   auto resolved = ResolveTarget();
   ASSERT_TRUE(resolved.ok()) << resolved.status();
   EXPECT_EQ(*resolved, a.ref);

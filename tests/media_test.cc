@@ -948,10 +948,36 @@ TEST_F(MediaTest, LostMdsCloseIsResentNotReadopted) {
 }
 
 TEST_F(MediaTest, CmgrFailoverKeepsAllocationTable) {
-  // Open a movie to create connection state, then fail the primary cmgr for
-  // neighborhood 1; the promoted standby must still know the allocation so a
-  // release through it works (replicated state, Section 10.1.1).
+  // The CMgr backup holds nothing: an open-and-stop cycle sends no CMgr a
+  // call from another CMgr. Open a movie, then fail neighborhood 1's primary
+  // CMgr. The promoted backup rebuilds its table from the trunk replicas
+  // (Section 10.1: volatile state is rebuilt by querying), so it holds what
+  // the live trunks reserve for its neighborhood, and a release through it
+  // works.
+  std::vector<wire::Endpoint> cmgrs = EndpointsOf("cmgrd-1");
+  for (const wire::Endpoint& e : EndpointsOf("cmgrd-2")) {
+    cmgrs.push_back(e);
+  }
+  ASSERT_EQ(cmgrs.size(), 4u);
+  size_t cmgr_to_cmgr = 0, allocates = 0;
+  cluster().network().SetTap([&](const wire::Endpoint& src,
+                                 const wire::Endpoint& dst,
+                                 const wire::Message& msg) {
+    if (msg.kind == wire::MsgKind::kRequest && IsOneOf(cmgrs, dst)) {
+      cmgr_to_cmgr += IsOneOf(cmgrs, src);
+      allocates += msg.method_id == kCmgrMethodAllocate;
+    }
+  });
   TestSettop s = MakeSettop(1);
+  s.vod->PlayMovie("T2", [](Status) {});
+  cluster().RunFor(Duration::Seconds(10));
+  ASSERT_TRUE(s.vod->playing());
+  s.vod->Stop();
+  cluster().RunFor(Duration::Seconds(5));
+  cluster().network().SetTap(nullptr);
+  EXPECT_EQ(allocates, 1u);
+  EXPECT_EQ(cmgr_to_cmgr, 0u);
+
   s.vod->PlayMovie("T2", [](Status) {});
   cluster().RunFor(Duration::Seconds(10));
   ASSERT_TRUE(s.vod->playing());
@@ -976,13 +1002,35 @@ TEST_F(MediaTest, CmgrFailoverKeepsAllocationTable) {
       << new_ref.result().status();
   EXPECT_NE(new_ref.result().value().endpoint.host, primary_host);
 
-  // The standby carried the connection table forward.
+  // The rebuilt table is exactly what the trunks reserve for neighborhood 1.
   auto connections =
       CmgrProxy(probe.runtime(), new_ref.result().value()).ListConnections();
+  std::vector<Future<std::vector<ConnectionGrant>>> reserved;
+  for (size_t i = 0; i < harness_.server_count(); ++i) {
+    auto trunk =
+        harness_.ClientFor(probe).Resolve(TrunkName(harness_.HostOf(i)));
+    cluster().RunFor(Duration::Seconds(1));
+    ASSERT_TRUE(trunk.is_ready() && trunk.result().ok());
+    reserved.push_back(
+        TrunkProxy(probe.runtime(), trunk.result().value()).ListGrants(1));
+  }
   cluster().RunFor(Duration::Seconds(2));
   ASSERT_TRUE(connections.is_ready() && connections.result().ok());
-  ASSERT_GE(connections.result().value().size(), 1u);
-  uint32_t server_host = connections.result().value().front().server_host;
+  std::vector<ConnectionGrant> on_trunks;
+  for (const auto& grants : reserved) {
+    ASSERT_TRUE(grants.is_ready() && grants.result().ok());
+    on_trunks.insert(on_trunks.end(), grants.result()->begin(),
+                     grants.result()->end());
+  }
+  std::vector<ConnectionGrant> table = connections.result().value();
+  auto by_id = [](const ConnectionGrant& a, const ConnectionGrant& b) {
+    return a.connection_id < b.connection_id;
+  };
+  std::sort(table.begin(), table.end(), by_id);
+  std::sort(on_trunks.begin(), on_trunks.end(), by_id);
+  ASSERT_EQ(table.size(), 1u);
+  EXPECT_EQ(table, on_trunks);
+  uint32_t server_host = table.front().server_host;
 
   // And the settop can release through the new primary.
   s.vod->Stop();
@@ -1098,6 +1146,41 @@ TEST_F(MediaTest, RestartedTrunkRelistsItsReservations) {
   cluster().RunFor(Duration::Seconds(5));
   EXPECT_EQ(TrunkReservedBps(serving_index).value(), 0);
   EXPECT_EQ(metrics().Get("cmgr.grant_reclaimed"), 0u);
+}
+
+TEST_F(MediaTest, TrunkListsItsGrantsByNeighborhood) {
+  // listGrants answers with the reservations whose settop is in the asked
+  // neighborhood, and rejects a request without one.
+  sim::Process& process = harness_.SpawnProcessOn(0, "trunkcheck");
+  auto* trunk = process.Emplace<TrunkService>(
+      process.runtime(), process.executor(), harness_.ClientFor(process),
+      /*server_index=*/0, /*neighborhoods=*/2, 200'000'000);
+  auto call = [trunk](uint32_t method, const wire::Bytes& args) {
+    Status status;
+    wire::Bytes reply;
+    trunk->Dispatch(method, args, rpc::CallContext{},
+                    [&](Status s, wire::Bytes b) {
+                      status = std::move(s);
+                      reply = std::move(b);
+                    });
+    return std::make_pair(status, reply);
+  };
+  ConnectionGrant grants[2];
+  for (uint8_t nb : {1, 2}) {
+    ConnectionGrant& grant = grants[nb - 1];
+    grant.connection_id = nb;
+    grant.settop_host = MakeSettopHost(nb, 1);
+    grant.server_host = harness_.HostOf(0);
+    grant.downstream_bps = 3'000'000;
+    ASSERT_TRUE(call(kTrunkMethodReserve, rpc::EncodeArgs(grant)).first.ok());
+  }
+  auto [status, reply] = call(kTrunkMethodListGrants, rpc::EncodeArgs(uint8_t{2}));
+  ASSERT_TRUE(status.ok()) << status;
+  std::vector<ConnectionGrant> listed;
+  ASSERT_TRUE(wire::DecodeValue(reply, &listed));
+  EXPECT_EQ(listed, std::vector<ConnectionGrant>{grants[1]});
+  EXPECT_EQ(call(kTrunkMethodListGrants, {}).first.code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST_F(MediaTest, PlayingViewerKeepsItsGrant) {
@@ -1634,6 +1717,82 @@ TEST_F(MediaHomeCrashTest, InterruptedGrantIsReleasedThroughTheCmgrFailover) {
         << "connection " << grant.connection_id
         << " on the crashed server still held";
   }
+}
+
+TEST_F(MediaHomeCrashTest, RestartedCmgrThatWinsItsBindingBackHasItsTable) {
+  // Neighborhood 1's primary CMgr process is killed, and its SSC restart
+  // wins the binding back before the backup's next 10 s bind retry. It must
+  // serve with the grants the trunks hold, not an empty table: the live
+  // grant is listed, it counts against the settop's 6 Mb/s cap, and its
+  // release succeeds.
+  TestSettop s = MakeSettop(1);
+  s.vod->PlayMovie("T2", [](Status) {});
+  cluster().RunFor(Duration::Seconds(10));
+  ASSERT_TRUE(s.vod->playing());
+  auto before = GrantsOf(1);
+  ASSERT_TRUE(before.ok()) << before.status();
+  ASSERT_EQ(before->size(), 1u);
+  const ConnectionGrant grant = before->front();
+
+  sim::Process& probe = harness_.SpawnProcessOn(0, "probe");
+  auto primary = harness_.ClientFor(probe).Resolve(CmgrName(1));
+  cluster().RunFor(Duration::Seconds(1));
+  ASSERT_TRUE(primary.is_ready() && primary.result().ok());
+  const wire::ObjectRef killed_ref = primary.result().value();
+  sim::Node& node =
+      harness_.server(killed_ref.endpoint.host == harness_.HostOf(0) ? 0 : 1);
+  // Killed 8 s into the stream, the process's restart binds between the
+  // audit's unbind and the backup's retry (checked below).
+  cluster().RunFor(Duration::Seconds(4));
+  uint64_t promotions = metrics().Get("cmgr.became_primary");
+  node.Kill(node.FindProcessByName("cmgrd-1")->pid());
+  Time killed = cluster().Now();
+  while (metrics().Get("cmgr.became_primary") == promotions &&
+         cluster().Now() - killed < Duration::Seconds(30)) {
+    cluster().RunFor(Duration::Millis(50));
+  }
+  auto restarted = harness_.ClientFor(probe).Resolve(CmgrName(1));
+  cluster().RunFor(Duration::Millis(100));
+  ASSERT_TRUE(restarted.is_ready() && restarted.result().ok());
+  ASSERT_EQ(restarted.result()->endpoint.host, killed_ref.endpoint.host)
+      << "the backup won the binding";
+  ASSERT_NE(restarted.result().value(), killed_ref);
+
+  CmgrProxy cmgr(probe.runtime(), restarted.result().value());
+  auto listed = cmgr.ListConnections();
+  auto over_cap = cmgr.Allocate(grant.settop_host, harness_.HostOf(0),
+                                4'000'000, /*allow_partial=*/false);
+  cluster().RunFor(Duration::Millis(500));
+  ASSERT_TRUE(listed.is_ready() && listed.result().ok());
+  EXPECT_EQ(listed.result().value(), std::vector<ConnectionGrant>{grant});
+  ASSERT_TRUE(over_cap.is_ready());
+  EXPECT_TRUE(IsResourceExhausted(over_cap.result().status()))
+      << over_cap.result().status();
+  auto released = cmgr.Release(grant.connection_id);
+  cluster().RunFor(Duration::Millis(500));
+  ASSERT_TRUE(released.is_ready());
+  EXPECT_TRUE(released.result().ok()) << released.result().status();
+
+  // Only the primary lists its table: a backup's is not served.
+  const uint32_t backup_host = harness_.HostOf(
+      killed_ref.endpoint.host == harness_.HostOf(0) ? 1 : 0);
+  auto objects = svc::SscProxy(probe.runtime(), svc::SscRefAt(backup_host))
+                     .ListObjects();
+  cluster().RunFor(Duration::Millis(500));
+  ASSERT_TRUE(objects.is_ready() && objects.result().ok());
+  const std::vector<wire::Endpoint> backups = EndpointsOf("cmgrd-1");
+  wire::ObjectRef backup;
+  for (const wire::ObjectRef& ref : *objects.result()) {
+    if (ref.endpoint.host == backup_host && IsOneOf(backups, ref.endpoint)) {
+      backup = ref;
+    }
+  }
+  ASSERT_EQ(backup.endpoint.host, backup_host);
+  auto unserved = CmgrProxy(probe.runtime(), backup).ListConnections();
+  cluster().RunFor(Duration::Millis(500));
+  ASSERT_TRUE(unserved.is_ready());
+  EXPECT_TRUE(IsUnavailable(unserved.result().status()))
+      << unserved.result().status();
 }
 
 // The MMS's sync round runs every 20 s, slower than the name service

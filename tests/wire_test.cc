@@ -8,6 +8,7 @@
 #include "src/load/admission.h"
 #include "src/load/load_board.h"
 #include "src/media/broadcast.h"
+#include "src/media/cmgr.h"
 #include "src/media/mds.h"
 #include "src/rpc/stub_helpers.h"
 #include "src/wire/message.h"
@@ -374,6 +375,31 @@ TEST(MediaWireTest, MmsOpenArgsCarryTheQuietReplica) {
   Bytes legacy = rpc::EncodeArgs(std::string("T2"), uint32_t{0x0b010001}, sink);
   EXPECT_FALSE(rpc::DecodeArgs(legacy, &title, &settop_host, &decoded_sink,
                                &quiet_mds));
+}
+
+TEST(MediaWireTest, TrunkListGrantsRoundTrip) {
+  // listGrants takes the neighborhood and replies with the whole grant of
+  // each reservation, which a promoted CMgr adopts as it is.
+  Bytes args = rpc::EncodeArgs(uint8_t{3});
+  uint8_t neighborhood = 0;
+  ASSERT_TRUE(rpc::DecodeArgs(args, &neighborhood));
+  EXPECT_EQ(neighborhood, 3);
+  EXPECT_FALSE(rpc::DecodeArgs(Bytes{}, &neighborhood));  // Truncated.
+
+  std::vector<media::ConnectionGrant> in(2);
+  in[0].connection_id = (9ull << 20) + 1;
+  in[0].settop_host = 0x0b030001;
+  in[0].server_host = 0x0a000201;
+  in[0].downstream_bps = 3'000'000;
+  in[1] = in[0];
+  in[1].connection_id = (9ull << 20) + 2;
+  in[1].downstream_bps = 1'500'000;
+  Bytes reply = EncodeValue(in);
+  std::vector<media::ConnectionGrant> out;
+  ASSERT_TRUE(DecodeValue(reply, &out));
+  EXPECT_EQ(out, in);
+  reply.resize(reply.size() - 1);
+  EXPECT_FALSE(DecodeValue(reply, &out));
 }
 
 TEST(MediaWireTest, MovieTicketRoundTripAndLegacyDecode) {

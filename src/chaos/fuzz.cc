@@ -451,8 +451,8 @@ FuzzResult Run(uint64_t seed, const sim::ChaosPlan* replay,
     // the name service is soft state, so a "publish succeeded" ack from a
     // master that then loses a split-brain heal can be rolled back — a
     // careful operator republishes until the CAS sticks, the same posture
-    // PrimaryBinder takes toward its binding. Idempotent once durable (the
-    // resolve finds an incumbent >= ours and stops there).
+    // a ServiceLifecycle primary takes toward its binding. Idempotent once
+    // durable (the resolve finds an incumbent >= ours and stops there).
     auto republish = std::make_shared<std::function<void()>>();
     *republish = [&harness, &ctl, successor,
                   self = std::weak_ptr<std::function<void()>>(republish)] {
@@ -831,6 +831,9 @@ FuzzResult Run(uint64_t seed, const sim::ChaosPlan* replay,
   result.invariant_report = monitor.Report() + teardown.Report();
   result.faults_applied = injector.faults_applied();
   result.fault_log = injector.log();
+  result.messages = harness.metrics().Get("net.msg.total");
+  result.events = cluster.scheduler().executed_events();
+  result.bind_attempts = harness.metrics().Get("binder.bind_attempts");
   if (!result.passed || options.capture_artifacts) {
     result.trace_json = trace::ChromeTraceJson(cluster.trace_buffer());
     result.metrics_json = harness.metrics().DumpJson();

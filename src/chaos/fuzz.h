@@ -148,6 +148,13 @@ struct FuzzResult {
   std::string invariant_report;  // One violation per line.
   size_t faults_applied = 0;
   std::vector<std::string> fault_log;
+  // Simulator-exact totals over the whole run (boot to teardown): messages
+  // routed, scheduler events executed, and bind attempts made by every
+  // replicated service's election. Deterministic per (seed, options), so a
+  // change that moves one moved the run.
+  uint64_t messages = 0;
+  uint64_t events = 0;
+  uint64_t bind_attempts = 0;
   // Filled when capture_artifacts (or on failure): Chrome trace JSON,
   // metrics dump, and a FailoverTimeline report for the first kill fault.
   std::string trace_json;

@@ -15,7 +15,16 @@
 //   chaos_fuzz --seeds N [--seed-base B] [--out DIR] [--faults K]
 //              [--horizon SECONDS] [--shards N] [--reshard] [--skewed-load]
 //              [--no-shrink] [--single-primary] [--quiet]
+//              [--fingerprint FILE]
 //   chaos_fuzz --seed S [--out DIR] ...
+//
+// --fingerprint FILE records the sweep in FILE, BENCH.json style: one
+// section per sweep, named by the sweep's own flags (e.g. "--seeds 50
+// --seed-base 10000 --single-primary"), holding one key per seed whose value
+// is the seed's verdict, faults applied and simulator-exact totals (messages
+// routed, scheduler events, bind attempts) of its first run, before any
+// shrinking. Other sweeps' sections in FILE are kept, so the CI sweeps share
+// one file and tools/bench_gate.py compares it with the committed CHAOS.json.
 //
 // --shards N deploys the MMS with N shards (an mmsd replica on every server
 // so shard primaries spread); with --single-primary the invariant then
@@ -46,6 +55,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_report.h"
 #include "src/chaos/fuzz.h"
 #include "src/common/logging.h"
 #include "src/common/strings.h"
@@ -108,6 +118,10 @@ int main(int argc, char** argv) {
   bool shrink = true;
   bool quiet = false;
   bool reshard = false;
+  std::string fingerprint_path;
+  // The flags that shape the runs, in command-line order: the fingerprint
+  // section's name.
+  std::string sweep;
   chaos::FuzzOptions options;
 
   for (int i = 1; i < argc; ++i) {
@@ -119,6 +133,17 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    if (arg == "--fingerprint") {
+      fingerprint_path = next();
+      continue;
+    }
+    if (arg != "--out" && arg != "--no-shrink" && arg != "--quiet" &&
+        arg != "--verbose") {
+      sweep += (sweep.empty() ? "" : " ") + arg;
+      if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
+        sweep += std::string(" ") + argv[i + 1];
+      }
+    }
     if (arg == "--seeds") {
       seeds = static_cast<size_t>(std::strtoull(next(), nullptr, 10));
     } else if (arg == "--seed-base") {
@@ -182,6 +207,7 @@ int main(int argc, char** argv) {
     }
   }
 
+  bench::ReportSection fingerprint(sweep);
   size_t failed = 0;
   for (uint64_t seed : corpus) {
     if (reshard) {
@@ -190,6 +216,13 @@ int main(int argc, char** argv) {
       options.reshard_to = seed % 2 == 0 ? 8 : 2;
     }
     chaos::FuzzResult result = chaos::RunSeed(seed, options);
+    fingerprint.SetText(
+        std::to_string(seed),
+        StrFormat("%s faults=%zu msgs=%llu events=%llu binds=%llu",
+                  result.passed ? "PASS" : "FAIL", result.faults_applied,
+                  static_cast<unsigned long long>(result.messages),
+                  static_cast<unsigned long long>(result.events),
+                  static_cast<unsigned long long>(result.bind_attempts)));
     if (result.passed) {
       if (!quiet) {
         std::printf("seed %" PRIu64 ": PASS (%zu faults applied)\n", seed,
@@ -222,5 +255,8 @@ int main(int argc, char** argv) {
 
   std::printf("chaos_fuzz: %zu/%zu seeds passed\n", corpus.size() - failed,
               corpus.size());
+  if (!fingerprint_path.empty() && !fingerprint.WriteMerged(fingerprint_path)) {
+    return 2;
+  }
   return failed == 0 ? 0 : 1;
 }

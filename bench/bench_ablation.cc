@@ -40,7 +40,7 @@ RecoveryMeasurement MeasureRecoveryLatency(bool crash_whole_server) {
   sim::Cluster& cluster = harness.cluster();
 
   svc::ServiceLifecycle::Options lc_opts;
-  lc_opts.binder.retry_interval = Duration::Seconds(2);
+  lc_opts.retry_interval = Duration::Seconds(2);
   auto spawn_replica = [&](size_t index) {
     sim::Process& p = harness.SpawnProcessOn(index, "target");
     auto* skeleton = p.Emplace<svc::SettopManagerService>(p.executor());
@@ -48,9 +48,7 @@ RecoveryMeasurement MeasureRecoveryLatency(bool crash_whole_server) {
     auto* lifecycle = p.Emplace<svc::ServiceLifecycle>(
         p, harness.ClientFor(p), "svc/target", ref, lc_opts,
         &harness.metrics());
-    svc::ServiceLifecycle::Hooks hooks;
-    hooks.ready_objects = {ref};
-    lifecycle->Start(std::move(hooks));
+    lifecycle->Start({});
   };
   spawn_replica(1);
   cluster.RunFor(Duration::Seconds(2));

@@ -79,7 +79,7 @@ TrialResult RunTrials(const Params& params, int trials, uint64_t seed) {
     harness.Boot();
 
     svc::ServiceLifecycle::Options lc_opts;
-    lc_opts.binder.retry_interval = Duration::Seconds(params.bind_retry_s);
+    lc_opts.retry_interval = Duration::Seconds(params.bind_retry_s);
 
     // Primary on server 2 (bound first), backup on server 3.
     auto spawn_replica = [&](size_t server_index) -> sim::Process& {
@@ -89,9 +89,7 @@ TrialResult RunTrials(const Params& params, int trials, uint64_t seed) {
       auto* lifecycle = p.Emplace<svc::ServiceLifecycle>(
           p, harness.ClientFor(p), "svc/target", ref, lc_opts,
           &harness.metrics());
-      svc::ServiceLifecycle::Hooks hooks;
-      hooks.ready_objects = {ref};
-      lifecycle->Start(std::move(hooks));
+      lifecycle->Start({});
       return p;
     };
     spawn_replica(1);

@@ -43,9 +43,7 @@ int main() {
     auto* fs = ctx.process.Emplace<files::FileService>(
         ctx.process.runtime(), &harness.DiskFor(ctx.process.host()));
     (void)fs->CreateFile("fonts/helvetica", {'f', 'o', 'n', 't'});
-    svc::ServiceLifecycle::Hooks hooks;
-    hooks.ready_objects = {fs->root_ref()};
-    ctx.StartLifecycle("files", fs->root_ref(), std::move(hooks));
+    ctx.StartLifecycle("files", fs->root_ref());
   });
   harness.AssignService("filesd", harness.HostOf(0));
   harness.Boot();

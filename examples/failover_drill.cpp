@@ -29,9 +29,7 @@ void RegisterDrillService(svc::ClusterHarness& harness) {
     auto* impl = ctx.process.Emplace<svc::SettopManagerService>(
         ctx.process.executor());
     wire::ObjectRef ref = ctx.process.runtime().Export(impl);
-    svc::ServiceLifecycle::Hooks hooks;
-    hooks.ready_objects = {ref};
-    ctx.StartLifecycle("svc/drill", ref, std::move(hooks));
+    ctx.StartLifecycle("svc/drill", ref);
   });
 }
 

@@ -306,7 +306,8 @@ struct FailoverTimeline {
   std::optional<Time> unbound_at;
   std::optional<Time> rebound_at;
   // Lifecycle services only: when the promoted replica finished RecoverState
-  // (role.promote). Absent for bare PrimaryBinder users.
+  // (role.promote). Absent for an external-role lifecycle, which binds
+  // nothing.
   std::optional<Time> promoted_at;
   std::optional<Time> client_ok_at;
 

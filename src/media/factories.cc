@@ -12,16 +12,6 @@ namespace itv::media {
 
 namespace {
 
-// Publishes `ref` under `path` through a ServiceLifecycle: the lifecycle
-// announces the object to the SSC, ensures the parent contexts, and runs the
-// primary/backup election.
-svc::ServiceLifecycle* PublishService(
-    const svc::ServiceContext& ctx, const std::string& path,
-    const wire::ObjectRef& ref, svc::ServiceLifecycle::Hooks hooks = {}) {
-  hooks.ready_objects = {ref};
-  return ctx.StartLifecycle(path, ref, std::move(hooks));
-}
-
 size_t ServerIndexOf(svc::ClusterHarness& harness, uint32_t host) {
   for (size_t i = 0; i < harness.server_count(); ++i) {
     if (harness.HostOf(i) == host) {
@@ -78,7 +68,7 @@ void RegisterMediaServices(svc::ClusterHarness& harness,
         ctx.process.runtime(), ctx.process.executor(), std::move(library), opts,
         ctx.metrics);
     wire::ObjectRef ref = mds->Export();
-    PublishService(ctx, MdsName(index), ref);
+    ctx.StartLifecycle(MdsName(index), ref);
   });
 
   // --- Cluster load board ---------------------------------------------------------
@@ -89,7 +79,7 @@ void RegisterMediaServices(svc::ClusterHarness& harness,
               ctx.process.runtime(), ctx.process.executor(),
               load::LoadBoardService::Options(), ctx.metrics);
           wire::ObjectRef ref = board->Export();
-          PublishService(ctx, std::string(load::kLoadBoardName), ref);
+          ctx.StartLifecycle(std::string(load::kLoadBoardName), ref);
         });
   }
 
@@ -100,7 +90,7 @@ void RegisterMediaServices(svc::ClusterHarness& harness,
         ctx.process.runtime(), ctx.process.executor(), ctx.MakeNameClient(),
         ServerIndexOf(ctx.harness, ctx.process.host()), neighborhoods,
         deployment.trunk_capacity_bps, ctx.metrics);
-    PublishService(ctx, TrunkName(ctx.process.host()), trunk->Start());
+    ctx.StartLifecycle(TrunkName(ctx.process.host()), trunk->Start());
   });
 
   // --- Connection managers per neighborhood --------------------------------------
@@ -119,7 +109,7 @@ void RegisterMediaServices(svc::ClusterHarness& harness,
           };
           hooks.on_promoted = [cmgr] { cmgr->OnPromoted(); };
           cmgr->AttachLifecycle(
-              PublishService(ctx, CmgrName(nb), cmgr->ref(), std::move(hooks)));
+              ctx.StartLifecycle(CmgrName(nb), cmgr->ref(), std::move(hooks)));
         });
   }
 
@@ -134,7 +124,7 @@ void RegisterMediaServices(svc::ClusterHarness& harness,
               ctx.process.runtime(), ctx.process.executor(),
               ctx.MakeNameClient(), deployment.rds_items, opts, ctx.metrics);
           wire::ObjectRef ref = rds->Export();
-          PublishService(ctx, "svc/rds/" + std::to_string(nb), ref);
+          ctx.StartLifecycle("svc/rds/" + std::to_string(nb), ref);
         });
   }
 
@@ -175,7 +165,6 @@ void RegisterMediaServices(svc::ClusterHarness& harness,
           // turns primary.
           svc::ShardHost::Shard hosted;
           hosted.ref = mms->ref();
-          hosted.hooks.ready_objects = {mms->ref()};
           hosted.hooks.recover = [mms](std::function<void(Status)> done) {
             mms->RecoverState(std::move(done));
           };
@@ -204,7 +193,7 @@ void RegisterMediaServices(svc::ClusterHarness& harness,
     info.size_bytes = deployment.kernel_size_bytes;
     auto* kernelcast = ctx.process.Emplace<KernelBroadcastService>(info);
     wire::ObjectRef ref = ctx.process.runtime().Export(kernelcast);
-    PublishService(ctx, std::string(kKernelCastName), ref);
+    ctx.StartLifecycle(std::string(kKernelCastName), ref);
   });
 
   // --- Boot broadcast ------------------------------------------------------------------

@@ -199,212 +199,4 @@ void PublishShardMap(Executor& executor, NameClient client,
                       retry, max_attempts);
 }
 
-void PrimaryBinder::Start(std::function<void()> on_primary,
-                          std::function<void()> on_demoted) {
-  ITV_CHECK(!running_);
-  running_ = true;
-  on_primary_ = std::move(on_primary);
-  on_demoted_ = std::move(on_demoted);
-  if (!options_.first_bind_delay.is_zero()) {
-    retry_timer_ = executor_.ScheduleAfter(options_.first_bind_delay, [this] {
-      retry_timer_ = kInvalidTimerId;
-      TryBind();
-    });
-    return;
-  }
-  TryBind();
-}
-
-void PrimaryBinder::Stop() {
-  if (!running_) {
-    return;
-  }
-  running_ = false;
-  if (retry_timer_ != kInvalidTimerId) {
-    executor_.Cancel(retry_timer_);
-    retry_timer_ = kInvalidTimerId;
-  }
-  if (!is_primary_) {
-    return;
-  }
-  is_primary_ = false;
-  // Release the name so a backup can win on its next retry instead of
-  // stalling until the audit removes the binding. Best-effort, and only
-  // after confirming the binding is still ours: between losing the name and
-  // the verify loop noticing, an unconditional unbind would evict the new
-  // primary.
-  NamingContextProxy root(client_.runtime(), client_.root());
-  root.Resolve(SplitPath(path_))
-      .OnReady([client = client_, path = path_,
-                my_ref = my_ref_](const Result<wire::ObjectRef>& r) {
-        if (r.ok() && *r == my_ref) {
-          client.Unbind(path).OnReady([](const Result<void>&) {});
-        }
-      });
-}
-
-void PrimaryBinder::Count(std::string_view counter) {
-  if (options_.metrics != nullptr) {
-    options_.metrics->Add(counter);
-  }
-}
-
-void PrimaryBinder::TryBind() {
-  if (!running_ || is_primary_) {
-    return;
-  }
-  ++bind_attempts_;
-  Count("binder.bind_attempts");
-  // Each bind attempt roots a trace: when a backup finally wins after the
-  // audit removes the dead primary's binding, the winning attempt's
-  // bind.primary instant is the fail-over timeline's recovery marker.
-  trace::Tracer* tracer = client_.runtime().tracer();
-  trace::TraceContext ctx;
-  Time begin;
-  if (tracer != nullptr) {
-    ctx = tracer->StartTrace();
-    begin = tracer->now();
-  }
-  trace::ScopedContext scoped(tracer, ctx);
-  client_.Bind(path_, my_ref_).OnReady([this, ctx, begin](
-                                           const Result<void>& r) {
-    if (!running_) {
-      return;
-    }
-    trace::Tracer* tracer = client_.runtime().tracer();
-    if (r.ok()) {
-      is_primary_ = true;
-      if (tracer != nullptr) {
-        tracer->Span(ctx, "bind.attempt", begin, path_);
-        tracer->Instant(ctx, trace::kEventBindPrimary, path_);
-      }
-      ITV_LOG(Info) << "primary/backup: became primary for " << path_;
-      if (on_primary_) {
-        on_primary_();
-      }
-      // A primary can lose its binding while alive: a transient network
-      // fault makes the RAS report it dead and the NS audit unbinds it.
-      // Keep verifying the binding and re-assert it when it disappears.
-      retry_timer_ = executor_.ScheduleAfter(options_.retry_interval, [this] {
-        retry_timer_ = kInvalidTimerId;
-        VerifyPrimary();
-      });
-      return;
-    }
-    // ALREADY_EXISTS: a primary is alive. Anything else (no master elected,
-    // name service briefly unreachable): retry as well.
-    if (tracer != nullptr) {
-      tracer->Span(ctx, "bind.attempt", begin,
-                   path_ + " error=" +
-                       std::string(StatusCodeName(r.status().code())));
-    }
-    if (IsAlreadyExists(r.status())) {
-      // The existing binding may be our own (e.g. we demoted on a stale
-      // NOT_FOUND answered by a lagging name-service replica while the
-      // master still holds our binding). Check before settling into the
-      // backup loop: if the name points at us, we never stopped being
-      // primary.
-      NamingContextProxy root(client_.runtime(), client_.root());
-      root.Resolve(SplitPath(path_))
-          .OnReady([this](const Result<wire::ObjectRef>& resolved) {
-            if (!running_ || is_primary_) {
-              return;
-            }
-            if (resolved.ok() && *resolved == my_ref_) {
-              is_primary_ = true;
-              ITV_LOG(Info) << "primary/backup: binding for " << path_
-                            << " still ours; resuming as primary";
-              // Reaching here means is_primary_ was false — either we demoted
-              // (on_demoted fired) or we never won — so the owner needs the
-              // promotion notification to leave its backup role.
-              if (on_primary_) {
-                on_primary_();
-              }
-              retry_timer_ =
-                  executor_.ScheduleAfter(options_.retry_interval, [this] {
-                    retry_timer_ = kInvalidTimerId;
-                    VerifyPrimary();
-                  });
-              return;
-            }
-            retry_timer_ =
-                executor_.ScheduleAfter(options_.retry_interval, [this] {
-                  retry_timer_ = kInvalidTimerId;
-                  TryBind();
-                });
-          });
-      return;
-    }
-    retry_timer_ = executor_.ScheduleAfter(options_.retry_interval, [this] {
-      retry_timer_ = kInvalidTimerId;
-      TryBind();
-    });
-  });
-}
-
-void PrimaryBinder::VerifyPrimary() {
-  if (!running_ || !is_primary_) {
-    return;
-  }
-  // Ask the name service, never a cached binding: a cached entry could be
-  // our own stale binding and mask the loss this probe exists to detect.
-  client_.Resolve(path_).OnReady([this](const Result<wire::ObjectRef>& r) {
-    if (!running_ || !is_primary_) {
-      return;
-    }
-    if (r.ok() && *r == my_ref_) {
-      // Still the registered primary.
-      retry_timer_ = executor_.ScheduleAfter(options_.retry_interval, [this] {
-        retry_timer_ = kInvalidTimerId;
-        VerifyPrimary();
-      });
-      return;
-    }
-    if (r.ok()) {
-      // Another replica holds the name: we were unbound and lost the
-      // re-election. Rejoin the backup retry loop.
-      ++demotions_;
-      Count("binder.demotions");
-      is_primary_ = false;
-      ITV_LOG(Info) << "primary/backup: lost binding for " << path_
-                    << " to another replica";
-      if (on_demoted_) {
-        on_demoted_();
-      }
-      retry_timer_ = executor_.ScheduleAfter(options_.retry_interval, [this] {
-        retry_timer_ = kInvalidTimerId;
-        TryBind();
-      });
-      return;
-    }
-    if (IsNotFound(r.status())) {
-      // The binding is gone — an audit false positive — or the answering
-      // replica is lagging and has not seen it yet. Re-assert WITHOUT
-      // demoting: if the name is genuinely free the bind restores it, and
-      // ALREADY_EXISTS just proves the NOT_FOUND was stale. Demoting here
-      // would deadlock: a false backup whose own binding survives gets
-      // ALREADY_EXISTS forever and never serves again.
-      client_.Bind(path_, my_ref_).OnReady([this](const Result<void>& bound) {
-        if (!running_ || !is_primary_) {
-          return;
-        }
-        if (bound.ok()) {
-          ITV_LOG(Info) << "primary/backup: re-asserted binding for " << path_;
-        }
-        retry_timer_ = executor_.ScheduleAfter(options_.retry_interval, [this] {
-          retry_timer_ = kInvalidTimerId;
-          VerifyPrimary();
-        });
-      });
-      return;
-    }
-    // Name service unreachable or masterless: no evidence either way, keep
-    // primaryship and probe again later.
-    retry_timer_ = executor_.ScheduleAfter(options_.retry_interval, [this] {
-      retry_timer_ = kInvalidTimerId;
-      VerifyPrimary();
-    });
-  });
-}
-
 }  // namespace itv::naming

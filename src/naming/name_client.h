@@ -1,13 +1,8 @@
 // Client-side naming library: string-path convenience over the
-// NamingContext stubs, plus PrimaryBinder — the paper's primary/backup
-// election building block (Section 5.2):
-//
-//   "When the replicas begin execution, they try to bind themselves in the
-//    global name space under the service name. The first one to succeed
-//    becomes the primary. The others periodically retry the binding request,
-//    which will fail so long as the primary is alive. If the primary fails,
-//    its binding will be removed from the name service [by auditing], and
-//    subsequently one of the backup replicas' bind requests will succeed."
+// NamingContext stubs, plus the idempotent context and shard-map publishing
+// steps services run against the name service. The paper's primary/backup
+// election (Section 5.2) that binds service names through this client is
+// svc::ServiceLifecycle.
 
 #ifndef SRC_NAMING_NAME_CLIENT_H_
 #define SRC_NAMING_NAME_CLIENT_H_
@@ -119,7 +114,7 @@ class NameClient {
 // Creates every component of `path` as a nested plain context, treating
 // ALREADY_EXISTS as success and retrying (every `retry` up to `max_attempts`
 // whole-path attempts) while the name service has no master. Services use it
-// to guarantee their parent contexts before starting a PrimaryBinder.
+// to guarantee their parent contexts before binding their names.
 void EnsureContextPath(Executor& executor, NameClient client,
                        const std::string& path,
                        std::function<void(Status)> done,
@@ -148,70 +143,6 @@ void PublishShardMap(Executor& executor, NameClient client,
                      std::function<void(Result<wire::ShardMap>)> done,
                      Duration retry = Duration::Seconds(2),
                      int max_attempts = 100);
-
-class PrimaryBinder {
- public:
-  struct Options {
-    // "Backup retries bind every 10 seconds" (paper Section 9.7).
-    Duration retry_interval = Duration::Seconds(10);
-    // Delay before the FIRST bind attempt. Zero contests immediately (the
-    // classic race). Sharded placement staggers non-preferred replicas so
-    // each shard's intended host wins the opening election and primaries
-    // spread round-robin instead of piling onto whoever boots first; after
-    // a fail-over the delay no longer matters — any survivor may win.
-    Duration first_bind_delay{};
-    // When set, bind attempts and demotions are exported as binder.* counters
-    // (in addition to the accessors) so chaos artifacts and benches report
-    // them uniformly.
-    Metrics* metrics = nullptr;
-  };
-
-  PrimaryBinder(Executor& executor, NameClient client, std::string path,
-                wire::ObjectRef my_ref)
-      : PrimaryBinder(executor, std::move(client), std::move(path), my_ref,
-                      Options()) {}
-  PrimaryBinder(Executor& executor, NameClient client, std::string path,
-                wire::ObjectRef my_ref, Options options)
-      : executor_(executor),
-        client_(std::move(client)),
-        path_(std::move(path)),
-        my_ref_(my_ref),
-        options_(options) {}
-
-  // Begins attempting to bind; `on_primary` (optional) fires each time this
-  // replica wins (more than once if it loses the binding and re-acquires it);
-  // `on_demoted` (optional) fires each time a verify finds another replica
-  // holding the name.
-  void Start(std::function<void()> on_primary = nullptr,
-             std::function<void()> on_demoted = nullptr);
-  // Stops the retry/verify loop. A stopped primary releases its binding
-  // (best-effort, after re-checking it still owns the name) so fail-over to a
-  // backup does not have to wait for the name-service audit.
-  void Stop();
-
-  bool running() const { return running_; }
-  bool is_primary() const { return is_primary_; }
-  uint64_t bind_attempts() const { return bind_attempts_; }
-  uint64_t demotions() const { return demotions_; }
-
- private:
-  void TryBind();
-  void VerifyPrimary();
-  void Count(std::string_view counter);
-
-  Executor& executor_;
-  NameClient client_;
-  std::string path_;
-  wire::ObjectRef my_ref_;
-  Options options_;
-  std::function<void()> on_primary_;
-  std::function<void()> on_demoted_;
-  bool running_ = false;
-  bool is_primary_ = false;
-  uint64_t bind_attempts_ = 0;
-  uint64_t demotions_ = 0;
-  TimerId retry_timer_ = kInvalidTimerId;
-};
 
 }  // namespace itv::naming
 

@@ -446,6 +446,16 @@ void NameServer::SubmitUpdate(const NameUpdate& update,
 
 void NameServer::MasterApply(const NameUpdate& update,
                              std::function<void(Status)> cb) {
+  if (update.op == NameOp::kBindNewContext) {
+    for (const auto& [context, selector] : options_.initial_repl_contexts) {
+      if (update.path == context) {
+        // A replica re-creating a lost parent asks for a plain context; one
+        // this master makes on election is made its way, selector and all.
+        MakeReplContext(context, selector, std::move(cb));
+        return;
+      }
+    }
+  }
   Status s = ApplyToTree(update);
   if (!s.ok()) {
     cb(s);
@@ -687,10 +697,22 @@ void NameServer::BecomeMaster() {
   }
   for (const auto& [context, selector] : options_.initial_repl_contexts) {
     if (!tree_.WalkToContext(context).ok()) {
-      NameUpdate update;
-      update.op = NameOp::kBindReplContext;
-      update.path = context;
-      MasterApply(update, [](Status) {});
+      MakeReplContext(context, selector, [](Status) {});
+    }
+  }
+  SendHeartbeats();
+  heartbeat_timer_.Start(executor_, options_.heartbeat_interval,
+                         [this] { SendHeartbeats(); });
+  audit_timer_.Start(executor_, options_.audit_interval, [this] { RunAudit(); });
+}
+
+void NameServer::MakeReplContext(const Name& context, BuiltinSelector selector,
+                                 std::function<void(Status)> cb) {
+  NameUpdate update;
+  update.op = NameOp::kBindReplContext;
+  update.path = context;
+  MasterApply(update, [this, context, selector, cb = std::move(cb)](Status s) {
+    if (s.ok()) {
       NameUpdate bind_selector;
       bind_selector.op = NameOp::kBind;
       bind_selector.path = context;
@@ -698,11 +720,8 @@ void NameServer::BecomeMaster() {
       bind_selector.ref = MakeBuiltinSelectorRef(selector);
       MasterApply(bind_selector, [](Status) {});
     }
-  }
-  SendHeartbeats();
-  heartbeat_timer_.Start(executor_, options_.heartbeat_interval,
-                         [this] { SendHeartbeats(); });
-  audit_timer_.Start(executor_, options_.audit_interval, [this] { RunAudit(); });
+    cb(s);
+  });
 }
 
 void NameServer::BecomeSlave(uint64_t epoch, uint32_t master_id) {

@@ -60,7 +60,8 @@ struct NameServerOptions {
   // e.g. "svc" and "apps"); created idempotently on election.
   std::vector<Name> initial_contexts;
   // Replicated contexts to pre-create, each with its selector policy
-  // (e.g. {"svc","ras"} with kByCallerHost for per-server replicas).
+  // (e.g. {"svc","ras"} with kByCallerHost for per-server replicas). A
+  // BindNewContext of one of these paths makes it the same way.
   std::vector<std::pair<Name, BuiltinSelector>> initial_repl_contexts;
 };
 
@@ -116,6 +117,10 @@ class NameServer {
   // --- Updates ---------------------------------------------------------------
   void SubmitUpdate(const NameUpdate& update, std::function<void(Status)> cb);
   void MasterApply(const NameUpdate& update, std::function<void(Status)> cb);
+  // Makes an initial replicated context with its selector: on election, and
+  // when a client asks for one as a plain context.
+  void MakeReplContext(const Name& context, BuiltinSelector selector,
+                       std::function<void(Status)> cb);
   void SlaveApply(uint64_t seq, uint64_t epoch, const NameUpdate& update);
   // Applies one sequenced update to the tree and keeps the context exports
   // in step with it: a created context is exported, an unbound one dropped.

@@ -19,12 +19,7 @@ void ServiceContext::NotifyReady(
 ServiceLifecycle* ServiceContext::StartLifecycle(
     const std::string& path, const wire::ObjectRef& ref,
     ServiceLifecycle::Hooks hooks, ServiceLifecycle::Options options) const {
-  // Adopt the harness-wide binder cadence, but keep the caller's election
-  // stagger: sharded placement delays non-preferred replicas' first bind so
-  // shard primaries spread round-robin instead of racing.
-  Duration first_bind_delay = options.binder.first_bind_delay;
-  options.binder = harness.options().binder;
-  options.binder.first_bind_delay = first_bind_delay;
+  options.retry_interval = harness.options().binder.retry_interval;
   auto* lifecycle = process.Emplace<ServiceLifecycle>(
       process, harness.ClientFor(process), path, ref, options, metrics);
   // Register before Start so the single-primary invariant never misses a
@@ -332,10 +327,7 @@ void ClusterHarness::RegisterBaseServiceTypes() {
     // Publish under svc/ras/<server-index> for the per-server selector.
     for (size_t i = 0; i < servers_.size(); ++i) {
       if (servers_[i]->host() == ctx.process.host()) {
-        ServiceLifecycle::Hooks hooks;
-        hooks.ready_objects = {rasd->ref()};
-        ctx.StartLifecycle("svc/ras/" + std::to_string(i + 1), rasd->ref(),
-                           std::move(hooks));
+        ctx.StartLifecycle("svc/ras/" + std::to_string(i + 1), rasd->ref());
       }
     }
   });
@@ -345,9 +337,7 @@ void ClusterHarness::RegisterBaseServiceTypes() {
     auto* store = ctx.process.Emplace<db::Store>(DiskFor(ctx.process.host()));
     auto* skeleton = ctx.process.Emplace<db::DatabaseSkeleton>(*store);
     wire::ObjectRef ref = ctx.process.runtime().ExportAt(skeleton, 1);
-    ServiceLifecycle::Hooks hooks;
-    hooks.ready_objects = {ref};
-    ctx.StartLifecycle("svc/db", ref, std::move(hooks));
+    ctx.StartLifecycle("svc/db", ref);
   });
 
   // --- Cluster Service Controller ------------------------------------------------
@@ -357,7 +347,6 @@ void ClusterHarness::RegisterBaseServiceTypes() {
         options_.csc, ctx.metrics);
     csc->Start();
     ServiceLifecycle::Hooks hooks;
-    hooks.ready_objects = {csc->ref()};
     hooks.on_promoted = [csc] { csc->OnPromoted(); };
     hooks.on_demoted = [csc] { csc->OnDemotedRole(); };
     csc->AttachLifecycle(
@@ -369,9 +358,7 @@ void ClusterHarness::RegisterBaseServiceTypes() {
     auto* mgr =
         ctx.process.Emplace<SettopManagerService>(ctx.process.executor());
     wire::ObjectRef ref = ctx.process.runtime().Export(mgr);
-    ServiceLifecycle::Hooks hooks;
-    hooks.ready_objects = {ref};
-    ctx.StartLifecycle(std::string(kSettopManagerName), ref, std::move(hooks));
+    ctx.StartLifecycle(std::string(kSettopManagerName), ref);
   });
 
   // Default placement: settop manager replicas on the first two servers.

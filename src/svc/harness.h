@@ -49,16 +49,17 @@ struct ServiceContext {
     return naming::NameClient(process.runtime(), ns_host);
   }
   // Registers exported objects with the local SSC (required before binding
-  // them into the name space, or auditing will consider them dead).
+  // them into the name space, or auditing will consider them dead). Only for
+  // objects no lifecycle binds: StartLifecycle announces its own `ref`.
   void NotifyReady(const std::vector<wire::ObjectRef>& objects) const;
   // Spawns a ServiceLifecycle in this process, starts it with `hooks`, and
   // registers it with the cluster-wide role registry (chaos invariants check
-  // per-service single-primary through it). `options.binder` is overwritten
-  // with the harness-wide binder options (HarnessOptions::binder), so every
-  // service elects on the deployment's retry cadence.
+  // per-service single-primary through it). `options.retry_interval` is
+  // overwritten with HarnessOptions::binder.retry_interval, so every service
+  // elects on the deployment's retry cadence.
   ServiceLifecycle* StartLifecycle(
       const std::string& path, const wire::ObjectRef& ref,
-      ServiceLifecycle::Hooks hooks,
+      ServiceLifecycle::Hooks hooks = {},
       ServiceLifecycle::Options options = ServiceLifecycle::Options()) const;
 };
 
@@ -72,10 +73,12 @@ struct HarnessOptions {
   ras::RasService::Options ras;
   CscService::Options csc;
   SscService::Options ssc;
-  // Binder used by base services when publishing their names. Faster than
+  // Bind retry cadence of every lifecycle StartLifecycle starts. Faster than
   // the paper's 10 s so clusters boot quickly; fail-over experiments override
-  // it to the paper's values explicitly.
-  naming::PrimaryBinder::Options binder{.retry_interval = Duration::Seconds(2)};
+  // it to the paper's value explicitly.
+  struct {
+    Duration retry_interval = Duration::Seconds(2);
+  } binder;
 
   sim::NetworkOptions network;
   Duration boot_run = Duration::Seconds(8);

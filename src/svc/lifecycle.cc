@@ -14,8 +14,8 @@ namespace {
 constexpr Duration kLoadReportInterval = Duration::Seconds(2);
 // Back-off before re-contesting the binding after a failed recovery.
 constexpr Duration kRecoverRetry = Duration::Seconds(2);
-// Back-off before announcing the ready objects again to an SSC that did not
-// acknowledge them.
+// Back-off before announcing the ref again to an SSC that did not
+// acknowledge it.
 constexpr Duration kAnnounceRetry = Duration::Seconds(2);
 // Poll cadence of the external_role probe.
 constexpr Duration kProbeInterval = Duration::Seconds(1);
@@ -59,23 +59,14 @@ ServiceLifecycle::ServiceLifecycle(sim::Process& process,
       client_(std::move(client)),
       path_(std::move(path)),
       ref_(ref),
-      options_(options),
-      metrics_(metrics) {
-  if (options_.binder.metrics == nullptr) {
-    options_.binder.metrics = metrics_;
-  }
-}
-
-ServiceLifecycle::~ServiceLifecycle() = default;
+      options_(std::move(options)),
+      metrics_(metrics) {}
 
 void ServiceLifecycle::Start(Hooks hooks) {
   ITV_CHECK(role_ == ServiceRole::kStopped) << "lifecycle already started";
   hooks_ = std::move(hooks);
   SetRole(ServiceRole::kStarting);
   Count("svc.role.start");
-  if (!hooks_.ready_objects.empty()) {
-    AnnounceReady();
-  }
   if (hooks_.external_role) {
     SetRole(ServiceRole::kBackup);
     probe_timer_.Start(executor(), kProbeInterval,
@@ -83,16 +74,21 @@ void ServiceLifecycle::Start(Hooks hooks) {
     ProbeExternalRole();
     return;
   }
-  EnsureContexts();
+  AnnounceReady();
+  SetRole(ServiceRole::kEnsuringContexts);
+  EnsureParents([this] {
+    SetRole(ServiceRole::kBackup);
+    Contest();
+  });
 }
 
 void ServiceLifecycle::AnnounceReady() {
   // Announce before binding: the naming audit treats a bound object its SSC
   // never heard of as dead and removes the binding, every audit, however
-  // often the binder re-asserts it. So an announcement the SSC did not
+  // often the primary re-asserts it. So an announcement the SSC did not
   // acknowledge goes again.
   SscProxy ssc(process_.runtime(), SscRefAt(process_.host()));
-  ssc.NotifyReady(process_.pid(), hooks_.ready_objects)
+  ssc.NotifyReady(process_.pid(), {ref_})
       .OnReady([this](const Result<void>& r) {
         if (r.ok()) {
           return;
@@ -110,72 +106,234 @@ void ServiceLifecycle::Stop() {
     return;
   }
   ++epoch_;
-  recover_in_flight_ = false;
   probe_timer_.Stop();
   StopLoadReporter();
-  if (binder_ != nullptr) {
-    binder_->Stop();  // Unbinds if we hold the name.
-  }
+  LeaveElection();  // Unbinds if we hold the name.
   SetRole(ServiceRole::kStopped);
   Count("svc.role.stop");
 }
 
-void ServiceLifecycle::EnsureContexts() {
+void ServiceLifecycle::EnsureParents(std::function<void()> then) {
   std::string parent = ParentOf(path_);
   if (parent.empty()) {
-    BeginElection();
+    then();
     return;
   }
-  SetRole(ServiceRole::kEnsuringContexts);
   uint64_t epoch = epoch_;
   naming::EnsureContextPath(
-      executor(), client_, parent,
-      [this, epoch](Status s) {
-        if (epoch != epoch_ || role_ != ServiceRole::kEnsuringContexts) {
+      executor(), client_, parent, [this, epoch, then = std::move(then)](Status s) {
+        if (epoch != epoch_) {
           return;
         }
         if (!s.ok()) {
+          // The bind that follows reads NOT_FOUND and comes back here.
           ITV_LOG(Error) << "lifecycle " << path_
                          << ": context creation failed: " << s;
           Count("svc.role.ensure_fail");
-          return;
         }
-        BeginElection();
+        then();
       });
 }
 
-void ServiceLifecycle::BeginElection() {
-  SetRole(ServiceRole::kBackup);
-  if (binder_ == nullptr) {
-    binder_ = std::make_unique<naming::PrimaryBinder>(
-        executor(), client_, path_, ref_, options_.binder);
-  }
-  binder_->Start([this] { OnWonBinding(); }, [this] { DemoteRole(); });
-}
-
-void ServiceLifecycle::RestartElection() {
-  if (role_ != ServiceRole::kBackup || binder_ == nullptr ||
-      binder_->running()) {
+void ServiceLifecycle::Contest() {
+  electing_ = true;
+  if (options_.first_bind_delay.is_zero()) {
+    TryBind();
     return;
   }
-  binder_->Start([this] { OnWonBinding(); }, [this] { DemoteRole(); });
+  ScheduleStep(&ServiceLifecycle::TryBind, options_.first_bind_delay);
+}
+
+void ServiceLifecycle::ScheduleStep(void (ServiceLifecycle::*step)(),
+                                    Duration delay) {
+  bind_timer_ = executor().ScheduleAfter(delay, [this, step] {
+    bind_timer_ = kInvalidTimerId;
+    (this->*step)();
+  });
+}
+
+void ServiceLifecycle::TryBind() {
+  if (!electing_ || bound_) {
+    return;
+  }
+  if (metrics_ != nullptr) {
+    metrics_->Add("binder.bind_attempts");
+  }
+  // Each bind attempt roots a trace: when a backup finally wins after the
+  // audit removes the dead primary's binding, the winning attempt's
+  // bind.primary instant is the fail-over timeline's recovery marker.
+  trace::Tracer* tracer = client_.runtime().tracer();
+  trace::TraceContext ctx;
+  Time begin;
+  if (tracer != nullptr) {
+    ctx = tracer->StartTrace();
+    begin = tracer->now();
+  }
+  trace::ScopedContext scoped(tracer, ctx);
+  client_.Bind(path_, ref_).OnReady([this, ctx, begin](const Result<void>& r) {
+    if (!electing_) {
+      return;
+    }
+    trace::Tracer* tracer = client_.runtime().tracer();
+    if (r.ok()) {
+      if (tracer != nullptr) {
+        tracer->Span(ctx, "bind.attempt", begin, path_);
+        tracer->Instant(ctx, trace::kEventBindPrimary, path_);
+      }
+      ITV_LOG(Info) << "primary/backup: became primary for " << path_;
+      OnWonBinding();
+      // A primary can lose its binding while alive: a transient network
+      // fault makes the RAS report it dead and the NS audit unbinds it.
+      // Keep verifying the binding and re-assert it when it disappears.
+      ScheduleStep(&ServiceLifecycle::VerifyPrimary, options_.retry_interval);
+      return;
+    }
+    if (tracer != nullptr) {
+      tracer->Span(ctx, "bind.attempt", begin,
+                   path_ + " error=" +
+                       std::string(StatusCodeName(r.status().code())));
+    }
+    if (IsAlreadyExists(r.status())) {
+      // The existing binding may be our own (e.g. we demoted on a stale
+      // NOT_FOUND answered by a lagging name-service replica while the
+      // master still holds our binding). Check before settling into the
+      // backup loop: if the name points at us, we never stopped being
+      // primary.
+      client_.Resolve(path_).OnReady(
+          [this](const Result<wire::ObjectRef>& resolved) {
+            if (!electing_ || bound_) {
+              return;
+            }
+            if (resolved.ok() && *resolved == ref_) {
+              ITV_LOG(Info) << "primary/backup: binding for " << path_
+                            << " still ours; resuming as primary";
+              // Reaching here means we were not bound — either we demoted
+              // or we never won — so the role must leave Backup.
+              OnWonBinding();
+              ScheduleStep(&ServiceLifecycle::VerifyPrimary,
+                           options_.retry_interval);
+              return;
+            }
+            ScheduleStep(&ServiceLifecycle::TryBind, options_.retry_interval);
+          });
+      return;
+    }
+    if (IsNotFound(r.status())) {
+      // A parent context is gone (a name-service master fail-over can lose
+      // a context a replica created): re-create it, then retry on the usual
+      // cadence, which leaves a live primary its re-assert first.
+      EnsureParents([this] {
+        ScheduleStep(&ServiceLifecycle::TryBind, options_.retry_interval);
+      });
+      return;
+    }
+    // No master elected, name service briefly unreachable: retry as well.
+    ScheduleStep(&ServiceLifecycle::TryBind, options_.retry_interval);
+  });
+}
+
+void ServiceLifecycle::VerifyPrimary() {
+  if (!electing_ || !bound_) {
+    return;
+  }
+  // Ask the name service, never a cached binding: a cached entry could be
+  // our own stale binding and mask the loss this probe exists to detect.
+  client_.Resolve(path_).OnReady([this](const Result<wire::ObjectRef>& r) {
+    if (!electing_ || !bound_) {
+      return;
+    }
+    if (r.ok() && *r == ref_) {
+      // Still the registered primary.
+      ScheduleStep(&ServiceLifecycle::VerifyPrimary, options_.retry_interval);
+      return;
+    }
+    if (r.ok()) {
+      // Another replica holds the name: we were unbound and lost the
+      // re-election. Rejoin the backup retry loop.
+      if (metrics_ != nullptr) {
+        metrics_->Add("binder.demotions");
+      }
+      ITV_LOG(Info) << "primary/backup: lost binding for " << path_
+                    << " to another replica";
+      DemoteRole();
+      ScheduleStep(&ServiceLifecycle::TryBind, options_.retry_interval);
+      return;
+    }
+    if (IsNotFound(r.status())) {
+      // The binding is gone — an audit false positive — or the answering
+      // replica is lagging and has not seen it yet. Re-assert WITHOUT
+      // demoting: if the name is genuinely free the bind restores it, and
+      // ALREADY_EXISTS just proves the NOT_FOUND was stale. Demoting here
+      // would deadlock: a false backup whose own binding survives gets
+      // ALREADY_EXISTS forever and never serves again.
+      Reassert(/*ensured=*/false);
+      return;
+    }
+    // Name service unreachable or masterless: no evidence either way, keep
+    // primaryship and probe again later.
+    ScheduleStep(&ServiceLifecycle::VerifyPrimary, options_.retry_interval);
+  });
+}
+
+void ServiceLifecycle::Reassert(bool ensured) {
+  client_.Bind(path_, ref_).OnReady([this, ensured](const Result<void>& bound) {
+    if (!electing_ || !bound_) {
+      return;
+    }
+    if (bound.ok()) {
+      ITV_LOG(Info) << "primary/backup: re-asserted binding for " << path_;
+    }
+    if (IsNotFound(bound.status()) && !ensured) {
+      // The parent context went with the binding: re-create it and bind
+      // again, still primary.
+      EnsureParents([this] { Reassert(/*ensured=*/true); });
+      return;
+    }
+    ScheduleStep(&ServiceLifecycle::VerifyPrimary, options_.retry_interval);
+  });
+}
+
+void ServiceLifecycle::LeaveElection() {
+  bool held = std::exchange(bound_, false);
+  if (!electing_) {
+    return;  // An external role, or already out: nothing is bound.
+  }
+  electing_ = false;
+  if (bind_timer_ != kInvalidTimerId) {
+    executor().Cancel(bind_timer_);
+    bind_timer_ = kInvalidTimerId;
+  }
+  if (!held) {
+    return;
+  }
+  // Release the name so a backup can win on its next retry instead of
+  // stalling until the audit removes the binding. Best-effort, and only
+  // after confirming the binding is still ours: between losing the name and
+  // the verify loop noticing, an unconditional unbind would evict the new
+  // primary.
+  client_.Resolve(path_).OnReady(
+      [client = client_, path = path_, ref = ref_](
+          const Result<wire::ObjectRef>& r) {
+        if (r.ok() && *r == ref) {
+          client.Unbind(path).OnReady([](const Result<void>&) {});
+        }
+      });
 }
 
 void ServiceLifecycle::OnWonBinding() {
   // The name is ours, but the service only becomes Primary once its state is
   // recovered; until then callers still see a backup.
+  bound_ = true;
   Time begin = executor().Now();
   if (!hooks_.recover) {
     FinishPromotion(begin);
     return;
   }
   uint64_t epoch = epoch_;
-  recover_in_flight_ = true;
   hooks_.recover([this, epoch, begin](Status s) {
     if (epoch != epoch_ || role_ == ServiceRole::kStopped) {
       return;  // Stopped or demoted while recovering: stale completion.
     }
-    recover_in_flight_ = false;
     if (s.ok()) {
       FinishPromotion(begin);
       return;
@@ -185,13 +343,18 @@ void ServiceLifecycle::OnWonBinding() {
     ITV_LOG(Error) << "lifecycle " << path_ << ": recovery failed (" << s
                    << "); releasing the binding";
     // Step out of the election without ever having claimed primaryship: the
-    // binder's stop unbinds, so a healthier replica can win, and we rejoin
-    // after a back-off.
+    // name is released, so a healthier replica can win, and we rejoin after
+    // a back-off (an external role rejoins at its next probe).
     ++epoch_;
-    binder_->Stop();
+    LeaveElection();
     SetRole(ServiceRole::kBackup);
-    executor().ScheduleAfter(kRecoverRetry,
-                             [this] { RestartElection(); });
+    if (!hooks_.external_role) {
+      executor().ScheduleAfter(kRecoverRetry, [this] {
+        if (role_ == ServiceRole::kBackup && !electing_) {
+          Contest();
+        }
+      });
+    }
   });
 }
 
@@ -213,11 +376,11 @@ void ServiceLifecycle::FinishPromotion(Time recover_begin) {
 }
 
 void ServiceLifecycle::DemoteRole() {
-  // Fired by the binder when another replica holds the name (or by the
-  // external-role probe turning false). Also invalidates a recovery that is
+  // Called when the verify finds another replica holding the name (or the
+  // external-role probe turns false). Also invalidates a recovery that is
   // still in flight: its completion must not promote a demoted replica.
   ++epoch_;
-  recover_in_flight_ = false;
+  bound_ = false;
   StopLoadReporter();
   ++demotions_;
   SetRole(ServiceRole::kDemoted);
@@ -231,7 +394,7 @@ void ServiceLifecycle::DemoteRole() {
   if (hooks_.on_demoted) {
     hooks_.on_demoted();
   }
-  // The binder (or probe) keeps contesting on its own; we are a backup again.
+  // The election (or probe) keeps contesting; we are a backup again.
   SetRole(ServiceRole::kBackup);
 }
 
@@ -255,7 +418,7 @@ void ServiceLifecycle::StopLoadReporter() {
 
 void ServiceLifecycle::ProbeExternalRole() {
   bool primary_now = hooks_.external_role();
-  if (primary_now && role_ == ServiceRole::kBackup && !recover_in_flight_) {
+  if (primary_now && !bound_) {
     OnWonBinding();
   } else if (!primary_now && role_ == ServiceRole::kPrimary) {
     DemoteRole();

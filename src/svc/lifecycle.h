@@ -1,19 +1,31 @@
 // ServiceLifecycle: the uniform replicated-service runtime (paper Sections
 // 5.2 and 6.3). Every server-side service used to hand-roll the same
 // start-up sequence — announce objects to the SSC, ensure parent naming
-// contexts, race a PrimaryBinder for the service name, run bespoke recovery
-// on promotion — and the copies drifted (that drift is where the
-// permanent-backup deadlock and the leaked-grant bugs hid). This class owns
-// the whole role state machine once:
+// contexts, contest the service name, run bespoke recovery on promotion —
+// and the copies drifted (that drift is where the permanent-backup deadlock
+// and the leaked-grant bugs hid). This class owns the whole role state
+// machine once, the election included:
+//
+//   "When the replicas begin execution, they try to bind themselves in the
+//    global name space under the service name. The first one to succeed
+//    becomes the primary. The others periodically retry the binding request,
+//    which will fail so long as the primary is alive. If the primary fails,
+//    its binding will be removed from the name service [by auditing], and
+//    subsequently one of the backup replicas' bind requests will succeed."
 //
 //     Starting -> EnsuringContexts -> Backup <-> Primary
 //                                        ^          |
 //                                        +- Demoted-+        (any) -> Stopped
 //
-// and services plug in hooks:
+// Start() announces `ref` to the local SSC (required, or the naming audit
+// kills the binding), ensures the parent contexts and binds `path`. A backup
+// retries every retry_interval; the primary re-reads its binding at the same
+// cadence, demotes on another replica's ref and re-asserts a missing one.
+// A bind or re-assert that reads NOT_FOUND re-ensures the parents first.
+// Stop() and a failed recovery release the name, only if it is still ours.
 //
-//   ready_objects   announced to the local SSC before the first bind
-//                   (required, or the naming audit kills the binding)
+// Services plug in hooks:
+//
 //   recover         runs after winning the binding, BEFORE the role turns
 //                   Primary ("the backup discovers the cluster state by
 //                   querying each SSC", Section 6.2; the MMS "can be
@@ -29,11 +41,12 @@
 //                   role-edge notifications (start/stop primary-only timers)
 //   external_role   services whose election is internal (the NS master
 //                   replication protocol) mirror it into the same role
-//                   machine, metrics, and invariants instead of binding.
+//                   machine, metrics, and invariants instead of binding; they
+//                   announce nothing.
 //
 // Uniform observability: svc.role.* metrics, binder.* counters, and
-// role.recover spans / role.promote+role.demote instants that feed
-// trace::FailoverTimeline's recovery decomposition.
+// bind.attempt / role.recover spans and bind.primary / role.promote /
+// role.demote instants that feed trace::FailoverTimeline.
 
 #ifndef SRC_SVC_LIFECYCLE_H_
 #define SRC_SVC_LIFECYCLE_H_
@@ -41,7 +54,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "src/common/executor.h"
 #include "src/common/metrics.h"
@@ -66,7 +78,15 @@ std::string_view ServiceRoleName(ServiceRole role);
 class ServiceLifecycle {
  public:
   struct Options {
-    naming::PrimaryBinder::Options binder;
+    // "Backup retries bind every 10 seconds" (paper Section 9.7). A primary
+    // re-reads its binding at the same cadence.
+    Duration retry_interval = Duration::Seconds(10);
+    // Delay before the FIRST bind attempt. Zero contests immediately (the
+    // classic race). Sharded placement staggers non-preferred replicas so
+    // each shard's intended host wins the opening election and primaries
+    // spread round-robin instead of piling onto whoever boots first; after
+    // a fail-over the delay no longer matters — any survivor may win.
+    Duration first_bind_delay{};
     // Shard annotation for sharded services (e.g. "shard=3/4"). Appended to
     // the role.promote / role.demote / role.recover trace details so
     // trace::FailoverTimeline can attribute a promotion to the right shard;
@@ -75,15 +95,12 @@ class ServiceLifecycle {
   };
 
   struct Hooks {
-    // Objects this service exports, registered with the local SSC via
-    // notifyReady before the first bind attempt.
-    std::vector<wire::ObjectRef> ready_objects;
     // State recovery, run on winning the binding; the role stays Backup (and
     // is_primary() false) until `done` reports OK.
     std::function<void(std::function<void(Status)> done)> recover;
     std::function<void()> on_promoted;
     std::function<void()> on_demoted;
-    // When set, no binder runs: the role mirrors this probe instead
+    // When set, nothing is bound: the role mirrors this probe instead
     // (services with their own election, e.g. the NS master).
     std::function<bool()> external_role;
     // Load-board publication (src/load): while Primary, the lifecycle runs a
@@ -96,13 +113,12 @@ class ServiceLifecycle {
 
   // `path` is the service name to contest (or, in external_role mode, the
   // label used for metrics, traces, and invariants). `ref` is the object
-  // bound under the name.
+  // announced to the SSC and bound under the name.
   ServiceLifecycle(sim::Process& process, naming::NameClient client,
                    std::string path, wire::ObjectRef ref);
   ServiceLifecycle(sim::Process& process, naming::NameClient client,
                    std::string path, wire::ObjectRef ref, Options options,
                    Metrics* metrics = nullptr);
-  ~ServiceLifecycle();
 
   ServiceLifecycle(const ServiceLifecycle&) = delete;
   ServiceLifecycle& operator=(const ServiceLifecycle&) = delete;
@@ -123,16 +139,24 @@ class ServiceLifecycle {
   uint64_t promotions() const { return promotions_; }
   uint64_t demotions() const { return demotions_; }
   uint64_t recover_failures() const { return recover_failures_; }
-  naming::PrimaryBinder* binder() { return binder_.get(); }
   load::LoadReporter* load_reporter() { return load_reporter_.get(); }
 
  private:
   Executor& executor() { return process_.executor(); }
 
   void AnnounceReady();
-  void EnsureContexts();
-  void BeginElection();
-  void RestartElection();
+  // Creates the parent contexts of the path (ALREADY_EXISTS is success),
+  // then runs `then` unless the lifecycle stopped or stepped out meanwhile.
+  // Start runs it once; a bind that reads NOT_FOUND runs it again.
+  void EnsureParents(std::function<void()> then);
+  void Contest();
+  void ScheduleStep(void (ServiceLifecycle::*step)(), Duration delay);
+  void TryBind();
+  void VerifyPrimary();
+  // Binds the held name again after a verify read NOT_FOUND; a bind that
+  // reads NOT_FOUND before the parents were `ensured` ensures them first.
+  void Reassert(bool ensured);
+  void LeaveElection();
   void OnWonBinding();
   void FinishPromotion(Time recover_begin);
   void DemoteRole();
@@ -152,10 +176,17 @@ class ServiceLifecycle {
   Hooks hooks_;
 
   ServiceRole role_ = ServiceRole::kStopped;
-  std::unique_ptr<naming::PrimaryBinder> binder_;
   std::unique_ptr<load::LoadReporter> load_reporter_;
   PeriodicTimer probe_timer_;
-  bool recover_in_flight_ = false;
+  // Contesting the name: from the end of Start's context step until Stop()
+  // or a failed recovery steps out.
+  bool electing_ = false;
+  // Won the name (the bind succeeded, or the external probe reports this
+  // replica primary) and not lost it since. The role turns Primary once
+  // recovery is done.
+  bool bound_ = false;
+  // The pending bind retry or binding verify.
+  TimerId bind_timer_ = kInvalidTimerId;
   // Bumped on demotion and stop: in-flight recover/ensure callbacks from an
   // older epoch are void (stop-during-recovery must not promote).
   uint64_t epoch_ = 0;

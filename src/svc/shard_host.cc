@@ -48,7 +48,7 @@ void ShardHost::StartShard(uint32_t shard) {
   ServiceLifecycle::Options opts;
   if (map_.sharded()) {
     opts.shard_label = ShardLabel(shard, map_);
-    opts.binder.first_bind_delay =
+    opts.first_bind_delay =
         ShardStaggerFor(shard, options_.rank, options_.replicas, map_);
   }
   active.lifecycle =

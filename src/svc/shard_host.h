@@ -7,7 +7,7 @@
 //     compare-and-swap (naming::PublishShardMap) — so a replica restarting
 //     mid-reshard can never roll the cluster back to the old map — and
 //     spins up one lifecycle per shard, staggering non-preferred replicas'
-//     first bind (naming::PrimaryBinder::Options::first_bind_delay) so the
+//     first bind (ServiceLifecycle::Options::first_bind_delay) so the
 //     opening elections place primaries round-robin.
 //   - A poll timer re-reads the map. A version bump reconciles:
 //       grow    new shards' lifecycles spin up (same stagger policy) and
@@ -21,7 +21,7 @@
 //     fail-over (or a healed split brain) can lose an acked ".shards" write.
 //     When the poll resolves a map OLDER than the one this replica adopted —
 //     or none at all — the replica republishes its adopted map through the
-//     CAS, the same posture PrimaryBinder takes toward a lost primary
+//     CAS, the same posture a ServiceLifecycle primary takes toward its lost
 //     binding. The adopted maps on the replicas, not the name-space binding,
 //     are the durable copy.
 //

@@ -49,9 +49,7 @@ class AuthHarnessTest : public ::testing::Test {
                     PrincipalForEndpoint(ctx.process.endpoint())));
       policy->set_master_key_registry(&registry_);
       ctx.process.runtime().set_security_policy(policy);
-      svc::ServiceLifecycle::Hooks hooks;
-      hooks.ready_objects = {ref};
-      ctx.StartLifecycle("svc/auth", ref, std::move(hooks));
+      ctx.StartLifecycle("svc/auth", ref);
     });
 
     // A strict third-party service on server 2: unsigned calls rejected.
@@ -66,9 +64,7 @@ class AuthHarnessTest : public ::testing::Test {
                     PrincipalForEndpoint(ctx.process.endpoint())),
           strict);
       ctx.process.runtime().set_security_policy(policy);
-      svc::ServiceLifecycle::Hooks hooks;
-      hooks.ready_objects = {ref};
-      ctx.StartLifecycle("svc/vault", ref, std::move(hooks));
+      ctx.StartLifecycle("svc/vault", ref);
     });
 
     harness_.AssignService("authd", harness_.HostOf(0));

@@ -224,7 +224,7 @@ TEST(FailoverTraceTest, TimelineMatchesPaperWorstCaseBound) {
   harness.Boot();
 
   svc::ServiceLifecycle::Options lc_opts;
-  lc_opts.binder.retry_interval = Duration::Seconds(10);
+  lc_opts.retry_interval = Duration::Seconds(10);
   auto spawn_replica = [&](size_t server_index) {
     sim::Process& p = harness.SpawnProcessOn(server_index, "target");
     auto* skeleton = p.Emplace<svc::SettopManagerService>(p.executor());
@@ -232,9 +232,7 @@ TEST(FailoverTraceTest, TimelineMatchesPaperWorstCaseBound) {
     auto* lifecycle = p.Emplace<svc::ServiceLifecycle>(
         p, harness.ClientFor(p), "svc/target", ref, lc_opts,
         &harness.metrics());
-    svc::ServiceLifecycle::Hooks hooks;
-    hooks.ready_objects = {ref};
-    lifecycle->Start(std::move(hooks));
+    lifecycle->Start({});
   };
   spawn_replica(1);  // Primary binds first.
   harness.cluster().RunFor(Duration::Seconds(2));

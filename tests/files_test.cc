@@ -25,9 +25,7 @@ class FilesTest : public ::testing::Test {
       (void)fs->MakeDirectory("fonts");
       (void)fs->CreateFile("fonts/helvetica", {'a', 'b', 'c'});
       (void)fs->CreateFile("motd", {'h', 'i'});
-      svc::ServiceLifecycle::Hooks hooks;
-      hooks.ready_objects = {fs->root_ref()};
-      ctx.StartLifecycle("files", fs->root_ref(), std::move(hooks));
+      ctx.StartLifecycle("files", fs->root_ref());
     });
     harness_.AssignService("filesd", harness_.HostOf(0));
     harness_.Boot();

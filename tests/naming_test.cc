@@ -1,6 +1,7 @@
 // Name service tests: context tree semantics, replicated contexts and
-// selectors, master election and update replication, auditing, and the
-// primary/backup binding pattern (paper Sections 4 and 5).
+// selectors, master election and update replication, and auditing (paper
+// Section 4). The primary/backup election over the name space (Section 5)
+// is tested in lifecycle_test.cc.
 
 #include <gtest/gtest.h>
 
@@ -1069,143 +1070,6 @@ TEST_F(SingleReplicaTest, AuditRemovesDeadObjectsWithinInterval) {
   auto healthy = Wait(nc.Resolve("svc/healthy"));
   EXPECT_TRUE(healthy.ok());
   EXPECT_GE(cluster_.metrics().Get("ns.audit.unbind"), 1u);
-}
-
-// --- Primary/backup ----------------------------------------------------------------
-
-TEST_F(SingleReplicaTest, FirstBinderWinsSecondTakesOverAfterUnbind) {
-  FakeAudit audit;
-  replicas_[0]->SetAudit(&audit);
-
-  sim::Process& client = SpawnClient();
-  NameClient setup(client.runtime(), servers_[0]->host());
-  ASSERT_TRUE(Wait(setup.BindNewContext("svc")).ok());
-
-  sim::Process& p1 = SpawnClient("mms-1");
-  sim::Process& p2 = SpawnClient("mms-2");
-  wire::ObjectRef ref1 = FakeRef(1, 1);
-  wire::ObjectRef ref2 = FakeRef(2, 2);
-
-  auto* binder1 = p1.Emplace<PrimaryBinder>(
-      p1.executor(), NameClient(p1.runtime(), servers_[0]->host()), "svc/mms",
-      ref1);
-  auto* binder2 = p2.Emplace<PrimaryBinder>(
-      p2.executor(), NameClient(p2.runtime(), servers_[0]->host()), "svc/mms",
-      ref2);
-  binder1->Start();
-  cluster_.RunFor(Duration::Seconds(1));
-  binder2->Start();
-  cluster_.RunFor(Duration::Seconds(2));
-
-  EXPECT_TRUE(binder1->is_primary());
-  EXPECT_FALSE(binder2->is_primary());
-  auto r = Wait(setup.Resolve("svc/mms"));
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(*r, ref1);
-
-  // Primary dies: its binder stops (a dead process cannot re-assert), the
-  // audit reports the object dead, the name service unbinds it, and the
-  // backup's periodic retry binds within retry_interval (10 s).
-  binder1->Stop();
-  audit.MarkDead(ref1);
-  cluster_.RunFor(Duration::Seconds(25));
-
-  EXPECT_TRUE(binder2->is_primary());
-  auto r2 = Wait(setup.Resolve("svc/mms"));
-  ASSERT_TRUE(r2.ok()) << r2.status();
-  EXPECT_EQ(*r2, ref2);
-  EXPECT_GT(binder2->bind_attempts(), 1u);
-}
-
-TEST_F(SingleReplicaTest, StopUnbindsSoBackupWinsWithoutAudit) {
-  sim::Process& client = SpawnClient();
-  NameClient setup(client.runtime(), servers_[0]->host());
-  ASSERT_TRUE(Wait(setup.BindNewContext("svc")).ok());
-
-  sim::Process& p1 = SpawnClient("mms-1");
-  sim::Process& p2 = SpawnClient("mms-2");
-  wire::ObjectRef ref1 = FakeRef(1, 1);
-  wire::ObjectRef ref2 = FakeRef(2, 2);
-  auto* binder1 = p1.Emplace<PrimaryBinder>(
-      p1.executor(), NameClient(p1.runtime(), servers_[0]->host()), "svc/mms",
-      ref1);
-  auto* binder2 = p2.Emplace<PrimaryBinder>(
-      p2.executor(), NameClient(p2.runtime(), servers_[0]->host()), "svc/mms",
-      ref2);
-  binder1->Start();
-  cluster_.RunFor(Duration::Seconds(1));
-  binder2->Start();
-  cluster_.RunFor(Duration::Seconds(2));
-  ASSERT_TRUE(binder1->is_primary());
-
-  // A graceful stop (service shutting down in an orderly way) releases the
-  // binding itself: no audit needed, so the name is free briefly and the
-  // backup's next retry — not a 25 s fail-over — wins it.
-  binder1->Stop();
-  EXPECT_FALSE(binder1->running());
-  cluster_.RunFor(Duration::Seconds(1));
-  EXPECT_TRUE(IsNotFound(Wait(setup.Resolve("svc/mms")).status()));
-
-  cluster_.RunFor(Duration::Seconds(12));  // One backup retry (10 s default).
-  EXPECT_TRUE(binder2->is_primary());
-  auto r = Wait(setup.Resolve("svc/mms"));
-  ASSERT_TRUE(r.ok()) << r.status();
-  EXPECT_EQ(*r, ref2);
-}
-
-TEST_F(SingleReplicaTest, StopDoesNotUnbindAnotherPrimarysBinding) {
-  sim::Process& client = SpawnClient();
-  NameClient setup(client.runtime(), servers_[0]->host());
-  ASSERT_TRUE(Wait(setup.BindNewContext("svc")).ok());
-
-  sim::Process& p1 = SpawnClient("mms-1");
-  wire::ObjectRef ref1 = FakeRef(1, 1);
-  wire::ObjectRef ref2 = FakeRef(2, 2);
-  auto* binder = p1.Emplace<PrimaryBinder>(
-      p1.executor(), NameClient(p1.runtime(), servers_[0]->host()), "svc/mms",
-      ref1);
-  binder->Start();
-  cluster_.RunFor(Duration::Seconds(2));
-  ASSERT_TRUE(binder->is_primary());
-
-  // Between this replica losing the name and its stop, another replica bound
-  // itself. The stop's unbind is conditional on the binding still being ours
-  // — it must not evict the new primary.
-  ASSERT_TRUE(Wait(setup.Unbind("svc/mms")).ok());
-  ASSERT_TRUE(Wait(setup.Bind("svc/mms", ref2)).ok());
-  binder->Stop();
-  cluster_.RunFor(Duration::Seconds(2));
-
-  auto r = Wait(setup.Resolve("svc/mms"));
-  ASSERT_TRUE(r.ok()) << r.status();
-  EXPECT_EQ(*r, ref2);
-}
-
-TEST_F(SingleReplicaTest, LivePrimaryReassertsAfterFalseUnbind) {
-  sim::Process& client = SpawnClient();
-  NameClient setup(client.runtime(), servers_[0]->host());
-  ASSERT_TRUE(Wait(setup.BindNewContext("svc")).ok());
-
-  sim::Process& p1 = SpawnClient("mms-1");
-  wire::ObjectRef ref1 = FakeRef(1, 1);
-  auto* binder = p1.Emplace<PrimaryBinder>(
-      p1.executor(), NameClient(p1.runtime(), servers_[0]->host()), "svc/mms",
-      ref1);
-  binder->Start();
-  cluster_.RunFor(Duration::Seconds(2));
-  ASSERT_TRUE(binder->is_primary());
-
-  // A transient fault convinced the audit the primary was dead and its
-  // binding was removed — but the process is alive. The verify loop must
-  // notice the missing binding and re-assert it without ever demoting.
-  ASSERT_TRUE(Wait(setup.Unbind("svc/mms")).ok());
-  cluster_.RunFor(Duration::Seconds(25));
-
-  EXPECT_TRUE(binder->is_primary());
-  EXPECT_EQ(binder->demotions(), 0u);
-  auto r = Wait(setup.Resolve("svc/mms"));
-  ASSERT_TRUE(r.ok()) << r.status();
-  EXPECT_EQ(*r, ref1);
 }
 
 // --- Versioned shard-map publish (live resharding) ---------------------------

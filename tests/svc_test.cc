@@ -43,9 +43,7 @@ void RegisterCounterType(ClusterHarness& harness) {
   harness.RegisterServiceType("counterd", [](const ServiceContext& ctx) {
     auto* skel = ctx.process.Emplace<CounterSkeleton>();
     wire::ObjectRef ref = ctx.process.runtime().Export(skel);
-    ServiceLifecycle::Hooks hooks;
-    hooks.ready_objects = {ref};
-    ctx.StartLifecycle("svc/counter", ref, std::move(hooks));
+    ctx.StartLifecycle("svc/counter", ref);
   });
 }
 

@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
   harness.Boot();
 
   svc::ServiceLifecycle::Options lc_opts;
-  lc_opts.binder.retry_interval = Duration::Seconds(10);
+  lc_opts.retry_interval = Duration::Seconds(10);
   auto spawn_replica = [&](size_t server_index) {
     sim::Process& p = harness.SpawnProcessOn(server_index, "target");
     auto* skeleton = p.Emplace<svc::SettopManagerService>(p.executor());
@@ -61,9 +61,7 @@ int main(int argc, char** argv) {
     auto* lifecycle = p.Emplace<svc::ServiceLifecycle>(
         p, harness.ClientFor(p), "svc/target", ref, lc_opts,
         &harness.metrics());
-    svc::ServiceLifecycle::Hooks hooks;
-    hooks.ready_objects = {ref};
-    lifecycle->Start(std::move(hooks));
+    lifecycle->Start({});
   };
   spawn_replica(1);
   harness.cluster().RunFor(Duration::Seconds(2));
